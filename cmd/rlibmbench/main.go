@@ -4,10 +4,9 @@
 // throughput comparison.
 //
 // With -roofline it instead runs the batch-kernel roofline harness:
-// per function, the staged pipeline against both fused kernel paths
-// and the selected path, next to the machine's measured memory and
-// arithmetic ceilings — and a bit-exact parity gate over a mixed
-// ordinary+special sweep that fails the process (exit 1) on any
+// per function, the served batch kernel next to the machine's measured
+// memory and arithmetic ceilings — and a bit-exact parity gate over a
+// mixed ordinary+special sweep that fails the process (exit 1) on any
 // mismatch, which is what CI's bench-smoke job runs.
 //
 // Usage:
@@ -127,31 +126,28 @@ func main() {
 }
 
 // runRoofline prints the roofline table and exits nonzero if any
-// kernel path disagrees with the scalar evaluator on any input.
+// served kernel disagrees with the scalar evaluator on any input.
 func runRoofline(n, reps int) {
 	rl := perf.MeasureRoofline(n, reps)
 	fmt.Printf("Batch-kernel roofline (n=%d, reps=%d)\n", n, reps)
-	fmt.Printf("machine: mul-add %.3f ns/op, stream %.3f ns/value, kernel path %s (%s)\n\n",
-		rl.MulAddNs, rl.StreamNs, rl.KernelPath, rl.KernelPathReason)
-	fmt.Printf("%-8s %-11s %9s %9s %9s %9s %6s %9s %9s %7s %7s\n",
-		"f(x)", "kind", "staged", "exact", "fma", "selected", "flops",
-		"membound", "compbound", "%roof", "parity")
+	fmt.Printf("machine: mul-add %.3f ns/op, stream %.3f ns/value\n\n", rl.MulAddNs, rl.StreamNs)
+	fmt.Printf("%-8s %-5s %9s %6s %9s %9s %7s %7s\n",
+		"f(x)", "kind", "ns", "flops", "membound", "compbound", "%roof", "parity")
 	bad := false
 	for _, r := range rl.Rows {
 		bound := math.Max(r.MemBoundNs, r.CompBoundNs)
-		pct := 100 * bound / r.SelectedNs
+		pct := 100 * bound / r.Ns
 		parity := "ok"
 		if !r.ParityOK {
 			parity = "FAIL"
 			bad = true
 		}
-		fmt.Printf("%-8s %-11s %8.2f  %8.2f  %8.2f  %8.2f  %5d  %8.2f  %8.2f  %5.1f%% %7s\n",
-			r.Func, r.Kind, r.StagedNs, r.ExactNs, r.FMANs, r.SelectedNs,
-			r.Flops, r.MemBoundNs, r.CompBoundNs, pct, parity)
+		fmt.Printf("%-8s %-5s %8.2f  %5d  %8.2f  %8.2f  %5.1f%% %7s\n",
+			r.Func, r.Kind, r.Ns, r.Flops, r.MemBoundNs, r.CompBoundNs, pct, parity)
 	}
-	fmt.Println("\nns columns are ns/value; %roof = max(membound, compbound) / selected.")
+	fmt.Println("\nns columns are ns/value; %roof = max(membound, compbound) / ns.")
 	if bad {
-		fmt.Println("PARITY FAILURE: a kernel path disagrees with the scalar evaluator")
+		fmt.Println("PARITY FAILURE: a served kernel disagrees with the scalar evaluator")
 		os.Exit(1)
 	}
 }

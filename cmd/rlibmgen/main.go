@@ -166,6 +166,14 @@ func main() {
 			allStats = append(allStats, res.Stats)
 		}
 		if *fn == "" {
+			// Refuse to emit a table the runtime has no batch kernel
+			// for: internal/libm would panic at init on it.
+			for _, res := range results {
+				if err := libm.KernelShape(res.Fam, res.Pieces); err != nil {
+					fmt.Fprintf(os.Stderr, "rlibmgen: %s: %v\n", v, err)
+					os.Exit(1)
+				}
+			}
 			src := gentool.EmitGo(results, v)
 			path := filepath.Join(*out, fmt.Sprintf("zgen_%s.go", v))
 			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
@@ -241,7 +249,6 @@ type funcStats struct {
 	NumTerms         []int   `json:"num_terms"`
 	OuterRounds      int     `json:"outer_rounds"`
 	Mismatches       int     `json:"mismatches"`
-	FMAMismatches    int     `json:"fma_mismatches"`
 	LPCalls          int     `json:"lp_calls"`
 	Pivots           int     `json:"lp_pivots"`
 	PresolveAccepted int     `json:"lp_presolve_accepted"`
@@ -271,7 +278,6 @@ func writeStatsJSON(path string, all []gentool.Stats) error {
 			NumTerms:         s.NumTerms,
 			OuterRounds:      s.OuterRounds,
 			Mismatches:       s.Mismatches,
-			FMAMismatches:    s.FMAMismatches,
 			LPCalls:          s.LPCalls,
 			Pivots:           s.Pivots,
 			PresolveAccepted: s.PresolveAccepted,

@@ -344,10 +344,10 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 		fmtCount(rate(writevs)), unit, fpw, fmtCount(rate(wbytes)), unit)
 
 	// Batch-kernel health: which kernel kind serves the EvalSlice
-	// traffic (simd vs pure-Go vs staged fallback), and how wide the
-	// batches actually are — narrow batches can't amortize per-batch
-	// costs, so the width histogram explains throughput regressions the
-	// per-function table alone can't.
+	// traffic (simd vs pure-Go), and how wide the batches actually are
+	// — narrow batches can't amortize per-batch costs, so the width
+	// histogram explains throughput regressions the per-function table
+	// alone can't.
 	var kindTotal float64
 	kinds := map[string]float64{}
 	for _, sm := range cur.by["rlibm_kernel_path_batches_total"] {

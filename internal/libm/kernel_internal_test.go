@@ -2,7 +2,11 @@ package libm
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"rlibm32/internal/polygen"
+	"rlibm32/internal/rangered"
 )
 
 // TestRoundHalfAwayMatchesMathRound pins the kernel-local math.Round
@@ -40,18 +44,79 @@ func TestRoundHalfAwayMatchesMathRound(t *testing.T) {
 }
 
 // TestFusedKernelCoverage asserts every shipped function in every
-// variant actually gets a fused kernel — if a regenerated table ever
-// changes shape, this fails loudly instead of silently dropping to the
-// staged fallback.
+// variant passes the same shape check rlibmgen runs before it emits
+// tables — if a regenerated table ever changes shape, this fails here
+// as well as at generation time and at package init.
 func TestFusedKernelCoverage(t *testing.T) {
 	for _, e := range Registry() {
 		for _, f := range implsFor(e.Variant) {
 			if f.name != e.Name {
 				continue
 			}
-			if k := fusedSlice[float64](f, false); k == nil {
-				t.Errorf("%s/%s: table shape has no fused kernel", e.Variant, e.Name)
+			if err := KernelShape(f.fam, f.pieces); err != nil {
+				t.Errorf("%s/%s: %v", e.Variant, e.Name, err)
 			}
 		}
+	}
+}
+
+// TestKernelShapeRejectsUncovered feeds the shape check tables no
+// kernel covers, built from the shipped float32 ln, and asserts the
+// error names the function and the shape it found.
+func TestKernelShapeRejectsUncovered(t *testing.T) {
+	var ln *impl
+	for _, f := range float32Impls {
+		if f.name == "ln" {
+			ln = f
+		}
+	}
+	if ln == nil {
+		t.Fatal("no float32 ln")
+	}
+	tab := *ln.pieces[0].Pos
+	tab.N = 5
+	quartic := tab
+	quartic.Terms = []int{1, 2, 3, 4}
+	cases := []struct {
+		name   string
+		pieces []*polygen.Piecewise
+		shape  string
+	}{
+		{"4 terms", []*polygen.Piecewise{{Pos: &quartic}}, "[NoConst-4×32]"},
+		{"per-sign", []*polygen.Piecewise{{Pos: &tab, Neg: &tab}}, "[±NoConst-3×32]"},
+	}
+	for _, c := range cases {
+		err := KernelShape(ln.fam, c.pieces)
+		if err == nil {
+			t.Errorf("%s: shape check accepted a table no kernel covers", c.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, " ln ") || !strings.Contains(msg, c.shape) {
+			t.Errorf("%s: error %q does not name ln and %s", c.name, msg, c.shape)
+		}
+	}
+	if err := KernelShape(ln.fam, ln.pieces); err != nil {
+		t.Errorf("shipped ln rejected: %v", err)
+	}
+}
+
+// TestKernelKind32 checks the telemetry label: "simd" or "go" for
+// every float32 function, "simd" only for the exp and log families
+// and only on AVX2 hosts, "" for an unknown name.
+func TestKernelKind32(t *testing.T) {
+	for _, f := range float32Impls {
+		want := "go"
+		switch f.fam.(type) {
+		case *rangered.ExpFamily, *rangered.LogFamily:
+			if simdAVX2 {
+				want = "simd"
+			}
+		}
+		if got := KernelKind32(f.name); got != want {
+			t.Errorf("KernelKind32(%q) = %q, want %q", f.name, got, want)
+		}
+	}
+	if got := KernelKind32("nope"); got != "" {
+		t.Errorf("KernelKind32(unknown) = %q, want \"\"", got)
 	}
 }

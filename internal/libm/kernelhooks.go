@@ -7,76 +7,38 @@ import "rlibm32/internal/rangered"
 // kernel.go; the hot paths never go through it.
 
 // KernelKind32 reports which batch kernel the float32 slice entry
-// points select for name under the current probe/override state:
-// "simd-exact"/"simd-fma" for the AVX2 vector kernels, "go-exact"/
-// "go-fma" for the pure-Go fused kernels, "staged" for the structural
-// fallback, "" for an unknown name. Telemetry labels batches with it
-// and the roofline harness prints it.
+// points serve for name: "simd" for the AVX2 vector kernels, "go" for
+// the pure-Go fused kernels, "" for an unknown name or a table no
+// kernel covers. It builds no kernel: the answer follows from the
+// table shape (KernelShape) and the CPU check that fusedSlice32 makes.
+// Telemetry labels batches with it and the roofline harness prints it.
 func KernelKind32(name string) string {
 	for _, f := range float32Impls {
 		if f.name != name {
 			continue
 		}
-		fma := useFMAKernels() && !fmaContractionUnsafe[f.name]
-		if fusedSlice[float32](f, fma) == nil {
-			return "staged"
+		if KernelShape(f.fam, f.pieces) != nil {
+			return ""
 		}
-		kind := "go"
 		switch f.fam.(type) {
 		case *rangered.ExpFamily, *rangered.LogFamily:
-			// Mirrors the simdExpSlice/simdLogSlice gate.
-			if simdAVX2 && (!fma || simdFMA3) {
-				kind = "simd"
+			if simdAVX2 {
+				return "simd"
 			}
 		}
-		if fma {
-			return kind + "-fma"
-		}
-		return kind + "-exact"
+		return "go"
 	}
 	return ""
 }
 
-// KernelPaths32 builds the fused float32 batch kernels for BOTH
-// polynomial paths of the named float32 function, regardless of what
-// the probe selected: exact runs the generator-validated Horner
-// sequence, fma the math.FMA/Estrin contraction — except for the
-// functions in fmaContractionUnsafe, whose fma kernel is pinned to the
-// exact core (the only form servable there). ok is false when the
-// function's table shape has no fused kernel (no shipped function hits
-// that today). The parity sweep drives both against the scalar path.
-func KernelPaths32(name string) (exact, fma func(dst, xs []float32), ok bool) {
-	for _, f := range float32Impls {
-		if f.name == name {
-			e := fusedSlice32(f, false)
-			m := fusedSlice32(f, true)
-			return e, m, e != nil && m != nil
-		}
-	}
-	return nil, nil, false
-}
-
-// KernelPaths64 is KernelPaths32 over exact float64 embeddings for any
-// generated variant (posit32 and the 16-bit table sets).
-func KernelPaths64(variant, name string) (exact, fma func(dst, xs []float64), ok bool) {
+// Kernel64 builds the fused batch kernel of any variant's function
+// over exact float64 embeddings: the kernel Posit32SliceImpls serves
+// for posit32, and the one a 16-bit batch entry point would serve. The
+// parity sweep drives it against the scalar evaluator.
+func Kernel64(variant, name string) (func(dst, xs []float64), bool) {
 	for _, f := range implsFor(variant) {
 		if f.name == name {
-			e := fusedSlice[float64](f, false)
-			m := fusedSlice[float64](f, true)
-			return e, m, e != nil && m != nil
-		}
-	}
-	return nil, nil, false
-}
-
-// StagedSlice32 builds the staged-pipeline (pre-kernel) batch
-// evaluator for the named float32 function — the structural fallback
-// compileSliceAuto keeps for unmatched table shapes. The roofline
-// harness uses it as the before-side of the before/after comparison.
-func StagedSlice32(name string) (func(dst, xs []float32), bool) {
-	for _, f := range float32Impls {
-		if f.name == name {
-			return compileSlice(f), true
+			return fusedSlice[float64](f), true
 		}
 	}
 	return nil, false

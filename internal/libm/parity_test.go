@@ -1,13 +1,8 @@
-// Kernel parity sweep: the fused batch kernels (both polynomial
-// paths) against the scalar evaluator, for all five representations.
-//
-// The exact kernels must agree with the scalar path to the last raw
-// double bit — they run the identical operation sequence, so any
-// discrepancy is a kernel bug. The fma kernels are compared after
-// rounding to the target format: their polynomial core commits
-// different double rounding errors by design, and the claim under test
-// is exactly the paper-level one — the final correctly rounded 32-bit
-// (or 16-bit) result is unchanged.
+// Kernel parity sweep: the served fused batch kernels against the
+// scalar evaluator, for all five representations. The kernels run the
+// identical operation sequence, so they must agree with the scalar
+// path to the last bit (float32 after its rounding, the float64
+// embeddings to the raw double bit) — any discrepancy is a kernel bug.
 //
 // Default mode sweeps a deterministic quasi-random sample of the full
 // input space per function (multiplicative-stride permutation prefix,
@@ -49,12 +44,25 @@ func sweepSize(t *testing.T) uint64 {
 // exactly once.
 func pattern32(i uint64) uint32 { return uint32(i * 2654435761) }
 
-// boundary32 lists bit patterns every function must be checked on:
-// zeros, infinities, NaNs, and dense neighborhoods of 1, the subnormal
-// border and the extremes, where every family's special-case cutoffs
-// live.
+// neighbourhoods returns every pattern within ±32 of each base pattern
+// (wrapping), the dense boundary coverage both 32-bit sweeps use.
+func neighbourhoods(base []uint32) []uint32 {
+	out := make([]uint32, 0, len(base)*65)
+	for _, b := range base {
+		out = append(out, b)
+		for d := uint32(1); d <= 32; d++ {
+			out = append(out, b+d, b-d)
+		}
+	}
+	return out
+}
+
+// boundary32 lists float32 bit patterns every function must be checked
+// on: zeros, infinities, NaNs, and dense neighborhoods of 1, the
+// subnormal border and the extremes, where every family's special-case
+// cutoffs live.
 func boundary32() []uint32 {
-	base := []uint32{
+	return neighbourhoods([]uint32{
 		0x00000000, 0x80000000, // ±0
 		0x7f800000, 0xff800000, // ±Inf
 		0x7fc00000, 0xffc00000, // quiet NaNs
@@ -64,49 +72,52 @@ func boundary32() []uint32 {
 		0x007fffff, 0x807fffff, // ±max subnormal
 		0x00000001, 0x80000001, // ±min subnormal
 		0x7f7fffff, 0xff7fffff, // ±max finite
-		// FMA-contraction counterexamples found by the full 2^32 sweep
-		// (exp and exp10 respectively): the inputs that proved sampled
-		// admissibility insufficient and pinned those functions to the
-		// exact core. Swept for every function so the sampled runs keep
-		// covering them.
+		// exp and exp10 inputs where a since-removed FMA-contracted
+		// polynomial core rounded differently from the validated Horner
+		// sequence (found by the full 2^32 sweep). They sit unusually
+		// close to float32 rounding boundaries, so they stay in the
+		// sampled sweep: any change to the served arithmetic that moves
+		// a double rounding is likeliest to show here first.
 		0xc16912cd, 0x417d7f60,
-	}
-	out := make([]uint32, 0, len(base)*64)
-	for _, b := range base {
-		for d := uint32(0); d < 32; d++ {
-			out = append(out, b+d, b-d)
-		}
-	}
-	return out
+	})
 }
 
-// checkKernel32 sweeps one float32 function: exact path bit-for-bit,
-// fma path equal after the (already applied) float32 rounding.
+// boundaryPosit32 is boundary32 for posit32: NaR, zero, ±1, ±minpos and
+// ±maxpos, plus the exp (0x30713580, 0xe4745670) and exp10 (0x051459a0,
+// 0x3114a5e0) inputs where the removed FMA core returned a wrong posit
+// — they pin the served kernel to the scalar library where contraction
+// once failed.
+func boundaryPosit32() []uint32 {
+	return neighbourhoods([]uint32{
+		0x80000000,             // NaR
+		0x00000000,             // 0
+		0x40000000, 0xc0000000, // ±1
+		0x00000001, 0xffffffff, // ±minpos
+		0x7fffffff, 0x80000001, // ±maxpos
+		0x30713580, 0xe4745670, 0x051459a0, 0x3114a5e0,
+	})
+}
+
+// checkKernel32 sweeps the float32 kernel EvalSlice serves for one
+// function (the AVX2 lanes where the CPU has them).
 func checkKernel32(t *testing.T, name string, n uint64) {
-	exact, fmak, ok := libm.KernelPaths32(name)
+	kern, ok := libm.Float32SliceImpls()[name]
 	if !ok {
-		t.Fatalf("%s: no fused kernel (table shape not covered)", name)
+		t.Fatalf("%s: no batch kernel", name)
 	}
 	sc, ok := libm.ScalarFunc64(libm.VariantFloat32, name)
 	if !ok {
 		t.Fatalf("%s: no scalar evaluator", name)
 	}
 	xs := make([]float32, parityBatch)
-	de := make([]float32, parityBatch)
-	df := make([]float32, parityBatch)
+	dst := make([]float32, parityBatch)
 	bad := 0
 	flush := func(m int) {
-		exact(de[:m], xs[:m])
-		fmak(df[:m], xs[:m])
+		kern(dst[:m], xs[:m])
 		for k := 0; k < m && bad < 5; k++ {
-			want := float32(sc(float64(xs[k])))
-			wb := math.Float32bits(want)
-			if eb := math.Float32bits(de[k]); eb != wb {
-				t.Errorf("%s exact: x=%x got=%x want=%x", name, math.Float32bits(xs[k]), eb, wb)
-				bad++
-			}
-			if fb := math.Float32bits(df[k]); fb != wb {
-				t.Errorf("%s fma: x=%x got=%x want=%x", name, math.Float32bits(xs[k]), fb, wb)
+			want := math.Float32bits(float32(sc(float64(xs[k]))))
+			if got := math.Float32bits(dst[k]); got != want {
+				t.Errorf("%s: x=%x got=%x want=%x", name, math.Float32bits(xs[k]), got, want)
 				bad++
 			}
 		}
@@ -137,33 +148,25 @@ func TestKernelParityFloat32(t *testing.T) {
 	}
 }
 
-// checkKernel64 sweeps one float64-embedding variant function over the
-// decoded inputs enc yields: exact path to the raw double bit, fma
-// path after rounding through the variant's encoder.
-func checkKernel64(t *testing.T, variant, name string, inputs func(yield func(float64)), round func(float64) float64) {
-	exact, fmak, ok := libm.KernelPaths64(variant, name)
+// checkKernel64 sweeps one float64-embedding variant function's kernel
+// over the decoded inputs yields, to the raw double bit.
+func checkKernel64(t *testing.T, variant, name string, inputs func(yield func(float64))) {
+	kern, ok := libm.Kernel64(variant, name)
 	if !ok {
-		t.Fatalf("%s/%s: no fused kernel (table shape not covered)", variant, name)
+		t.Fatalf("%s/%s: no batch kernel", variant, name)
 	}
 	sc, ok := libm.ScalarFunc64(variant, name)
 	if !ok {
 		t.Fatalf("%s/%s: no scalar evaluator", variant, name)
 	}
 	xs := make([]float64, parityBatch)
-	de := make([]float64, parityBatch)
-	df := make([]float64, parityBatch)
+	dst := make([]float64, parityBatch)
 	bad := 0
 	flush := func(m int) {
-		exact(de[:m], xs[:m])
-		fmak(df[:m], xs[:m])
+		kern(dst[:m], xs[:m])
 		for k := 0; k < m && bad < 5; k++ {
-			want := sc(xs[k])
-			if eb, wb := math.Float64bits(de[k]), math.Float64bits(want); eb != wb {
-				t.Errorf("%s/%s exact: x=%v got=%x want=%x", variant, name, xs[k], eb, wb)
-				bad++
-			}
-			if fb, wb := math.Float64bits(round(df[k])), math.Float64bits(round(want)); fb != wb {
-				t.Errorf("%s/%s fma: x=%v got=%x want=%x (target-rounded)", variant, name, xs[k], fb, wb)
+			if got, want := math.Float64bits(dst[k]), math.Float64bits(sc(xs[k])); got != want {
+				t.Errorf("%s/%s: x=%v got=%x want=%x", variant, name, xs[k], got, want)
 				bad++
 			}
 		}
@@ -185,19 +188,21 @@ func checkKernel64(t *testing.T, variant, name string, inputs func(yield func(fl
 func TestKernelParityPosit32(t *testing.T) {
 	n := sweepSize(t)
 	inputs := func(yield func(float64)) {
+		for _, u := range boundaryPosit32() {
+			yield(posit32.FromBits(u).Float64())
+		}
 		for i := uint64(0); i < n; i++ {
 			yield(posit32.FromBits(pattern32(i)).Float64())
 		}
 	}
-	round := func(v float64) float64 { return posit32.FromFloat64(v).Float64() }
 	for _, name := range libm.Names(libm.VariantPosit32) {
 		name := name
-		t.Run(name, func(t *testing.T) { checkKernel64(t, libm.VariantPosit32, name, inputs, round) })
+		t.Run(name, func(t *testing.T) { checkKernel64(t, libm.VariantPosit32, name, inputs) })
 	}
 }
 
 // sixteenBit sweeps an entire 16-bit variant exhaustively.
-func sixteenBit(t *testing.T, variant string, dec func(uint16) float64, round func(float64) float64) {
+func sixteenBit(t *testing.T, variant string, dec func(uint16) float64) {
 	inputs := func(yield func(float64)) {
 		for u := 0; u < 1<<16; u++ {
 			yield(dec(uint16(u)))
@@ -205,41 +210,18 @@ func sixteenBit(t *testing.T, variant string, dec func(uint16) float64, round fu
 	}
 	for _, name := range libm.Names(variant) {
 		name := name
-		t.Run(name, func(t *testing.T) { checkKernel64(t, variant, name, inputs, round) })
+		t.Run(name, func(t *testing.T) { checkKernel64(t, variant, name, inputs) })
 	}
 }
 
 func TestKernelParityBfloat16(t *testing.T) {
-	sixteenBit(t, libm.VariantBfloat16,
-		func(u uint16) float64 { return bfloat16.FromBits(u).Float64() },
-		func(v float64) float64 { return bfloat16.FromFloat64(v).Float64() })
+	sixteenBit(t, libm.VariantBfloat16, func(u uint16) float64 { return bfloat16.FromBits(u).Float64() })
 }
 
 func TestKernelParityFloat16(t *testing.T) {
-	sixteenBit(t, libm.VariantFloat16,
-		func(u uint16) float64 { return float16.FromBits(u).Float64() },
-		func(v float64) float64 { return float16.FromFloat64(v).Float64() })
+	sixteenBit(t, libm.VariantFloat16, func(u uint16) float64 { return float16.FromBits(u).Float64() })
 }
 
 func TestKernelParityPosit16(t *testing.T) {
-	sixteenBit(t, libm.VariantPosit16,
-		func(u uint16) float64 { return posit16.FromBits(u).Float64() },
-		func(v float64) float64 { return posit16.FromFloat64(v).Float64() })
-}
-
-// TestKernelPathProbe pins the probe plumbing: the selected path is
-// one of the two values and the env override is honored by the
-// reported reason (the override itself can only be exercised in a
-// fresh process; CI's bench-smoke job runs both settings).
-func TestKernelPathProbe(t *testing.T) {
-	path, reason := libm.KernelPath()
-	if path != "fma" && path != "exact" {
-		t.Fatalf("KernelPath() = %q, want fma|exact", path)
-	}
-	if reason != "probe" && reason != "env" {
-		t.Fatalf("KernelPath() reason = %q, want probe|env", reason)
-	}
-	if got := os.Getenv("RLIBM_FMA"); got != "" && reason != "env" {
-		t.Fatalf("RLIBM_FMA=%q set but reason = %q", got, reason)
-	}
+	sixteenBit(t, libm.VariantPosit16, func(u uint16) float64 { return posit16.FromBits(u).Float64() })
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"time"
 
-	"rlibm32/internal/libm"
-
 	rlibm "rlibm32"
 )
 
@@ -23,7 +21,7 @@ import (
 // with, so the ratios are internally consistent even though absolute
 // numbers drift with machine load.
 //
-// Every roofline run doubles as a correctness gate: each kernel path
+// Every roofline run doubles as a correctness gate: each served kernel
 // is swept against the scalar correctly rounded evaluator on a mixed
 // ordinary+special input array, bit for bit. CI runs this (see the
 // bench-smoke job) so a perf regression hunt can never silently trade
@@ -32,20 +30,17 @@ import (
 // RooflineRow is one function's roofline entry.
 type RooflineRow struct {
 	Func string
-	// Kind is the kernel EvalSlice selects (simd-exact, go-fma, ...).
+	// Kind is the kernel EvalSlice serves (simd or go).
 	Kind string
-	// StagedNs is the pre-kernel staged pipeline — the "before" side.
-	StagedNs float64
-	// ExactNs and FMANs are the fused kernel's two polynomial paths;
-	// SelectedNs is the path EvalSlice actually serves.
-	ExactNs, FMANs, SelectedNs float64
+	// Ns is the served kernel's cost per value.
+	Ns float64
 	// Flops counts the lane's double-precision arithmetic ops per
 	// value (divides weighted ×4); static per family, see laneFlops.
 	Flops int
 	// MemBoundNs and CompBoundNs are the two ceilings for this
 	// function on this machine run.
 	MemBoundNs, CompBoundNs float64
-	// ParityOK records the bit-exact sweep of all three paths against
+	// ParityOK records the bit-exact sweep of the served kernel against
 	// the scalar evaluator over the mixed ordinary+special array.
 	ParityOK bool
 }
@@ -59,10 +54,7 @@ type Roofline struct {
 	// StreamNs is the measured per-value cost of a float32
 	// load+store streaming loop — the memory/loop-overhead floor.
 	StreamNs float64
-	// KernelPath and KernelPathReason echo the runtime's fma/exact
-	// probe decision.
-	KernelPath, KernelPathReason string
-	Rows                         []RooflineRow
+	Rows     []RooflineRow
 }
 
 // laneFlops is the per-value double-precision arithmetic op count of
@@ -175,46 +167,34 @@ func checkParity(k func(dst, xs []float32), sf func(float32) float32, xs []float
 }
 
 // MeasureRoofline runs the full harness over every float32 function:
-// machine ceilings once, then per function the staged pipeline, both
-// kernel paths, the selected path, and the parity gate. n is the
-// batch size (the public benchmarks use 1024), reps the repetitions
-// per timing pass.
+// machine ceilings once, then per function the served kernel and the
+// parity gate. n is the batch size (the public benchmarks use 1024),
+// reps the repetitions per timing pass.
 func MeasureRoofline(n, reps int) Roofline {
 	rl := Roofline{
 		MulAddNs: measureMulAdd(),
 		StreamNs: measureStream(n, reps),
 	}
-	rl.KernelPath, rl.KernelPathReason = rlibm.KernelPath()
 	for _, name := range rlibm.Names() {
-		staged, ok1 := libm.StagedSlice32(name)
-		exact, fmak, ok2 := libm.KernelPaths32(name)
-		selected, ok3 := rlibm.FuncSlice(name)
-		sf, ok4 := rlibm.Func(name)
-		if !ok1 || !ok2 || !ok3 || !ok4 {
+		kern, ok1 := rlibm.FuncSlice(name)
+		sf, ok2 := rlibm.Func(name)
+		if !ok1 || !ok2 {
 			continue
 		}
 		kind := rlibm.KernelKind(name)
-		xs := Float32Inputs(name, n)
 		row := RooflineRow{
-			Func:       name,
-			Kind:       kind,
-			StagedNs:   MeasureFloat32Batch(staged, xs, reps),
-			ExactNs:    MeasureFloat32Batch(exact, xs, reps),
-			FMANs:      MeasureFloat32Batch(fmak, xs, reps),
-			SelectedNs: MeasureFloat32Batch(selected, xs, reps),
-			Flops:      laneFlops(name),
+			Func:  name,
+			Kind:  kind,
+			Ns:    MeasureFloat32Batch(kern, Float32Inputs(name, n), reps),
+			Flops: laneFlops(name),
 		}
 		width := 1.0
-		if len(kind) > 4 && kind[:4] == "simd" {
+		if kind == "simd" {
 			width = 4
 		}
 		row.MemBoundNs = rl.StreamNs
 		row.CompBoundNs = float64(row.Flops) * rl.MulAddNs / width
-		pxs := parityInputs(name, n)
-		row.ParityOK = checkParity(exact, sf, pxs) &&
-			checkParity(fmak, sf, pxs) &&
-			checkParity(selected, sf, pxs) &&
-			checkParity(staged, sf, pxs)
+		row.ParityOK = checkParity(kern, sf, parityInputs(name, n))
 		rl.Rows = append(rl.Rows, row)
 	}
 	return rl

@@ -34,6 +34,23 @@ const (
 	Sparse
 )
 
+// String names the kind ("Dense", "Odd", "Even", "NoConst", "Sparse").
+func (k Kind) String() string {
+	switch k {
+	case Dense:
+		return "Dense"
+	case Odd:
+		return "Odd"
+	case Even:
+		return "Even"
+	case NoConst:
+		return "NoConst"
+	case Sparse:
+		return "Sparse"
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
 // KindOf classifies a monomial exponent list.
 func KindOf(terms []int) Kind {
 	dense, odd, even, noconst := true, true, true, true
@@ -161,83 +178,6 @@ func (t *Table) Eval(r float64) float64 {
 	idx := t.Index(r)
 	row := t.Coeffs[idx*len(t.Terms) : (idx+1)*len(t.Terms)]
 	return EvalPoly(t.Kind, t.Terms, row, r)
-}
-
-// EvalSlice evaluates the piecewise polynomial at every rs[i] into
-// dst[i], bit-identical to per-element Eval. The kind/degree dispatch
-// and table field loads are hoisted out of the loop, so the body of
-// each fast path is straight-line arithmetic with no calls — adjacent
-// elements overlap in the CPU pipeline instead of serializing behind
-// per-element call overhead.
-func (t *Table) EvalSlice(dst, rs []float64) {
-	shift := t.Shift
-	minB, maxB := t.MinBits, t.MaxBits
-	mask := uint64(1)<<t.N - 1
-	co := t.Coeffs
-	nt := len(t.Terms)
-	switch {
-	case t.Kind == Dense && nt == 5:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*5:]
-			dst[i] = (((c[4]*r+c[3])*r+c[2])*r+c[1])*r + c[0]
-		}
-	case t.Kind == Dense && nt == 4:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*4:]
-			dst[i] = ((c[3]*r+c[2])*r+c[1])*r + c[0]
-		}
-	case t.Kind == Odd && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			r2 := r * r
-			dst[i] = ((c[2]*r2+c[1])*r2 + c[0]) * r
-		}
-	case t.Kind == Even && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			r2 := r * r
-			dst[i] = (c[2]*r2+c[1])*r2 + c[0]
-		}
-	case t.Kind == NoConst && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			dst[i] = ((c[2]*r+c[1])*r + c[0]) * r
-		}
-	default:
-		for i, r := range rs {
-			dst[i] = t.Eval(r)
-		}
-	}
 }
 
 // Degree returns the maximum monomial exponent.

@@ -160,3 +160,30 @@ func TestSplitAllZeroFails(t *testing.T) {
 		t.Error("all-zero reduced inputs must be rejected")
 	}
 }
+
+// TestExactCoresMatchEvalPoly pins the batch kernels' polynomial cores
+// to the validated sequence: for every shape the kernels evaluate,
+// QuadExact/Dense5Exact composed the way the kernels compose them must
+// equal EvalPoly bit for bit.
+func TestExactCoresMatchEvalPoly(t *testing.T) {
+	q := []float64{0.125, -0.875, 0.3331}
+	d5 := []float64{1, 0.5, 0.1666, 0.0417, 0.0083}
+	for i := 1; i < 1000; i++ {
+		x := float64(i) / 997
+		x2 := x * x
+		cases := []struct {
+			name      string
+			got, want float64
+		}{
+			{"noconst-3", QuadExact(q[0], q[1], q[2], x) * x, EvalPoly(NoConst, []int{1, 2, 3}, q, x)},
+			{"odd-3", QuadExact(q[0], q[1], q[2], x2) * x, EvalPoly(Odd, []int{1, 3, 5}, q, x)},
+			{"even-3", QuadExact(q[0], q[1], q[2], x2), EvalPoly(Even, []int{0, 2, 4}, q, x)},
+			{"dense-5", Dense5Exact(d5[0], d5[1], d5[2], d5[3], d5[4], x), EvalPoly(Dense, []int{0, 1, 2, 3, 4}, d5, x)},
+		}
+		for _, c := range cases {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s at %v: core %x, EvalPoly %x", c.name, x, math.Float64bits(c.got), math.Float64bits(c.want))
+			}
+		}
+	}
+}

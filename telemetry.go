@@ -23,11 +23,10 @@ type sliceTelemetry struct {
 	// batches actually are, which is what decides whether the fused
 	// kernels' fixed per-batch costs amortize.
 	widths *telemetry.Histogram
-	// pathByFunc counts batches by the kernel kind serving them
-	// (simd-exact/simd-fma/go-exact/go-fma/staged) — the runtime answer
-	// to "is this deployment on the vector path or a fallback?". The
-	// kind is resolved per function once at enable time; functions with
-	// the same kind share a counter.
+	// pathByFunc counts batches by the kernel kind serving them (simd or
+	// go) — the runtime answer to "is this deployment on the vector
+	// path?". The kind is resolved per function once at enable time;
+	// functions with the same kind share a counter.
 	pathByFunc map[string]*telemetry.Counter
 }
 
@@ -63,13 +62,7 @@ func EnableTelemetry(reg *telemetry.Registry) {
 // DisableTelemetry restores the default silent mode.
 func DisableTelemetry() { sliceTel.Store(nil) }
 
-// KernelPath reports the batch polynomial path the runtime selected
-// ("fma" or "exact") and how ("probe" or "env" for an RLIBM_FMA
-// override). rlibmtop and the roofline harness surface it.
-func KernelPath() (path, reason string) { return libm.KernelPath() }
-
 // KernelKind reports which batch kernel EvalSlice runs for the named
-// function: "simd-exact"/"simd-fma" (AVX2 vector kernels),
-// "go-exact"/"go-fma" (pure-Go fused kernels), or "staged" (the
-// structural fallback). Empty for unknown names.
+// function: "simd" (AVX2 vector kernels) or "go" (pure-Go fused
+// kernels). Empty for unknown names.
 func KernelKind(name string) string { return libm.KernelKind32(name) }
