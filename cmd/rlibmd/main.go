@@ -1,22 +1,21 @@
 // Command rlibmd serves the generated correctly rounded libraries over
-// a compact binary TCP protocol (see internal/server). Concurrent
-// small requests for the same (function, representation) are coalesced
-// into large batches before hitting the EvalSlice kernels; overload is
+// a compact binary TCP protocol (see internal/server). A fixed pool of
+// workers evaluates each request as one call into the batch kernels,
+// so one connection's pipelined requests run in parallel; overload is
 // shed with explicit BUSY responses; results are bit-exact with the
 // in-process library.
 //
 //	rlibmd -addr 127.0.0.1:7043 -admin 127.0.0.1:7044
 //
 // The admin listener exports Prometheus text metrics (per-function
-// request/value/busy counts, latency histograms, coalescing stats,
-// oracle cache and Ziv-ladder counters) at /metrics, the same data in
-// legacy expvar shape at /debug/vars, and the standard pprof endpoints
-// at /debug/pprof/. The always-on flight recorder keeps the last few
-// thousand wide events in memory, serves them at /debug/flight, and
-// dumps them to -flight-dir as JSON when an anomaly trigger fires
-// (SIGQUIT, a sustained BUSY fraction, or an external hit on
-// /debug/flight/trigger). SIGINT/SIGTERM trigger a graceful drain:
-// in-flight requests finish, then the process exits.
+// request/value/busy counts, latency histograms, values per kernel
+// call, oracle cache and Ziv-ladder counters) at /metrics and the
+// standard pprof endpoints at /debug/pprof/. The always-on flight
+// recorder keeps the last few thousand wide events in memory, serves
+// them at /debug/flight, and dumps them to -flight-dir as JSON when an
+// anomaly trigger fires (SIGQUIT, a sustained BUSY fraction, or an
+// external hit on /debug/flight/trigger). SIGINT/SIGTERM trigger a
+// graceful drain: in-flight requests finish, then the process exits.
 package main
 
 import (
@@ -38,10 +37,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7043", "serve address")
-	admin := flag.String("admin", "", "admin (expvar + pprof) address; empty disables")
+	admin := flag.String("admin", "", "admin (/metrics, pprof, flight recorder) address; empty disables")
 	workers := flag.Int("workers", 0, "evaluation workers (default GOMAXPROCS)")
 	maxFrame := flag.Int("max-frame", server.DefaultMaxFrame, "max frame payload bytes")
-	maxBatch := flag.Int("max-batch", 1<<16, "max values per coalesced kernel dispatch")
 	maxInflight := flag.Int64("max-inflight", 1<<20, "max admitted-but-unevaluated values before BUSY shedding")
 	connInflight := flag.Int("conn-inflight", 64, "max pipelined requests in flight per connection")
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-frame read deadline")
@@ -56,7 +54,6 @@ func main() {
 		Addr:         *addr,
 		Workers:      *workers,
 		MaxFrame:     *maxFrame,
-		MaxBatch:     *maxBatch,
 		MaxInflight:  *maxInflight,
 		ConnInflight: *connInflight,
 		ReadTimeout:  *readTimeout,
@@ -65,7 +62,6 @@ func main() {
 		FlightEvents: *flightEvents,
 		BusyDumpFrac: *busyDumpFrac,
 	})
-	s.Metrics().Publish()
 	// Everything the process observes lands on one registry: the oracle
 	// cache/Ziv counters (exercised by any server-side verification
 	// tooling) and the EvalSlice batch counters join the server's own

@@ -32,7 +32,7 @@
 // v2): the server — and, through a proxy, every backend the request
 // visited — returns per-stage span events, and the run ends with an
 // end-to-end latency waterfall (client issue/flush, proxy
-// admit/ring-walk/forward, backend queue/coalesce/kernel).
+// admit/ring-walk/forward, backend queue/kernel).
 // -trace-out writes the collected spans as one stitched Chrome-trace
 // JSON (load into chrome://tracing or Perfetto; spans from every
 // process in the request path share a trace id). -flight-admin lists

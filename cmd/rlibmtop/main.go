@@ -1,7 +1,8 @@
 // Command rlibmtop is a terminal dashboard for a running rlibmd: it
 // polls the admin listener's /metrics endpoint (Prometheus text
 // exposition) and renders live per-function throughput and latency
-// percentiles, coalescing efficiency, and oracle cache effectiveness.
+// percentiles, kernel calls and their widths, and oracle cache
+// effectiveness.
 //
 //	rlibmtop -addr 127.0.0.1:7044            # live, redraws every 2s
 //	rlibmtop -addr 127.0.0.1:7044 -once      # one snapshot, no ANSI
@@ -309,7 +310,8 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 		shown++
 	}
 
-	// Coalescing efficiency.
+	// Kernel calls: one per evaluated request, so values per call is
+	// the request width the kernels see.
 	batches := delta(cur, prev, "rlibmd_batches_total")
 	bvals := delta(cur, prev, "rlibmd_batched_values_total")
 	shed := delta(cur, prev, "rlibmd_shed_values_total")
@@ -321,17 +323,13 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 	if prev != nil {
 		bs = sub(bs, prev.hist("rlibmd_batch_size", nil))
 	}
-	fmt.Fprintf(w, "\ncoalescing: %s batches%s, avg %.0f vals/batch (p50 %.0f, p99 %.0f)  shed %s vals%s\n",
+	fmt.Fprintf(w, "\nkernel calls: %s calls%s (one per request), avg %.0f vals/call (p50 %.0f, p99 %.0f)  shed %s vals%s\n",
 		fmtCount(rate(batches)), unit, avg,
 		telemetry.HistQuantile(bs, 0.50), telemetry.HistQuantile(bs, 0.99),
 		fmtCount(rate(shed)), unit)
 
-	// Sharded dispatch and wire batching: steals show idle shards
-	// helping busy ones; shard-shed shows one shard's admission bound
-	// binding before the global one; frames-per-writev is the
-	// scatter-gather amortization (1.0 means no response batching).
-	steals := delta(cur, prev, "rlibmd_steals_total")
-	shardShed := delta(cur, prev, "rlibmd_shard_shed_values_total")
+	// Wire batching: frames-per-writev is the scatter-gather
+	// amortization (1.0 means no response batching).
 	writevs := delta(cur, prev, "rlibmd_writev_total")
 	wframes := delta(cur, prev, "rlibmd_writev_frames_total")
 	wbytes := delta(cur, prev, "rlibmd_writev_bytes_total")
@@ -339,8 +337,7 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 	if writevs > 0 {
 		fpw = wframes / writevs
 	}
-	fmt.Fprintf(w, "dispatch: steals %s%s  shard-shed %s vals%s   wire: %s writev%s, %.1f frames/writev, %s B%s\n",
-		fmtCount(rate(steals)), unit, fmtCount(rate(shardShed)), unit,
+	fmt.Fprintf(w, "wire: %s writev%s, %.1f frames/writev, %s B%s\n",
 		fmtCount(rate(writevs)), unit, fpw, fmtCount(rate(wbytes)), unit)
 
 	// Batch-kernel health: which kernel kind serves the EvalSlice

@@ -4,13 +4,12 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // BenchmarkProtoRoundTrip measures one synchronous request through the
-// full stack — client encode, writev, server decode, sharded dispatch,
+// full stack — client encode, writev, server decode, dispatch,
 // kernel, response writev, client decode — with a caller-provided dst,
 // the configuration the zero-alloc claim is made for. Allocs/op is the
 // number to watch: steady state must stay at 0 on both ends.
@@ -42,20 +41,15 @@ func BenchmarkProtoRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(len(in))*float64(b.N)/b.Elapsed().Seconds(), "values/s")
 }
 
-// benchHint hands each parallel submitter its own connection hint, the
-// way distinct connections spread one hot key across shards.
-var benchHint atomic.Uint32
-
-// BenchmarkDispatchSharded measures the dispatcher alone — admission,
-// shard queueing, worker wakeup, coalesced evaluation, delivery —
-// with a trivial kernel, so the per-value dispatch overhead is the
-// whole cost. Allocs/op must be 0: pendings, batch sources and result
-// buffers all recycle.
-func BenchmarkDispatchSharded(b *testing.B) {
+// BenchmarkDispatch measures the dispatcher alone — admission, the
+// work channel, worker wakeup, evaluation, delivery — with a trivial
+// kernel, so the per-request dispatch overhead is the whole cost.
+// Allocs/op must be 0: pendings and their buffers recycle.
+func BenchmarkDispatch(b *testing.B) {
 	key := batchKey{typ: TFloat32, name: "copy"}
 	eval := map[batchKey]evalFunc{key: func(dst, src []uint32) { copy(dst, src) }}
 	m := newMetrics([]batchKey{key})
-	d := newDispatcher(eval, 4, 1<<16, 1<<20, m)
+	d := newDispatcher(eval, 4, 1<<20, m)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -67,23 +61,21 @@ func BenchmarkDispatchSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(batch * 4)
 	b.RunParallel(func(pb *testing.PB) {
-		hint := benchHint.Add(1)
 		ks := d.lookup(TFloat32, []byte("copy"))
 		src := make([]uint32, batch)
 		for i := range src {
 			src[i] = uint32(i)
 		}
-		s := &syncSink{ch: make(chan *pending, 1)}
+		w := &connWriter{respq: make(chan *pending, 1)}
 		for pb.Next() {
 			p := getPending(len(src))
 			copy(p.src, src)
-			p.ks, p.out, p.start = ks, s, time.Now()
-			if st := d.submit(p, hint); st != StatusOK {
+			p.ks, p.out, p.start = ks, w, time.Now()
+			if st := d.submit(p); st != StatusOK {
 				p.release()
 				b.Fatalf("submit: %s", StatusText(st))
 			}
-			q := <-s.ch
-			q.release()
+			(<-w.respq).release()
 		}
 	})
 	b.StopTimer()

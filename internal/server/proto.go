@@ -34,10 +34,9 @@
 // and a client sends v2 frames only after seeing an advertisement, so
 // old peers are never handed a version byte they would reject.
 //
-// Inside the daemon, concurrent small requests for the same
-// (function, type) are coalesced into large batches before hitting the
-// EvalSlice kernels — see dispatch.go — and overload is shed with an
-// explicit StatusBusy instead of unbounded queueing.
+// Inside the daemon, a fixed pool of workers evaluates each request as
+// one call into the batch kernels — see dispatch.go — and overload is
+// shed with an explicit StatusBusy instead of unbounded queueing.
 package server
 
 import (
@@ -81,7 +80,7 @@ const (
 )
 
 // DefaultMaxFrame bounds the payload of a single frame (1 MiB: a
-// 256k-value float32 batch, far beyond the coalescer's flush size).
+// 256k-value float32 request).
 const DefaultMaxFrame = 1 << 20
 
 // Opcodes.

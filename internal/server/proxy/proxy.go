@@ -872,8 +872,8 @@ func (pc *pconn) handleCall(call *server.Call) {
 // noteForward closes the span for the forward attempt that just
 // settled (the first attempt is a "forward", later ones "retry") and
 // splices in whatever spans the backend's response carried, so the
-// downstream caller receives queue/coalesce/kernel detail from every
-// backend the frame visited.
+// downstream caller receives queue/kernel detail from every backend
+// the frame visited.
 func (pc *pconn) noteForward(sl *pslot, call *server.Call) {
 	stage := telemetry.StageForward
 	if sl.attempts > 1 {

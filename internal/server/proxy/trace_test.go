@@ -10,8 +10,8 @@ import (
 // TestProxyTraceStitch drives a traced request through the full relay
 // — client → proxy → backend — and checks that the response carries
 // one trace id with spans from both the proxy tier (admit, ringwalk,
-// forward) and the backend tier (queue, coalesce, kernel): the
-// stitched cross-process timeline the flight tooling renders.
+// forward) and the backend tier (queue, kernel): the stitched
+// cross-process timeline the flight tooling renders.
 func TestProxyTraceStitch(t *testing.T) {
 	b1, _ := startBackend(t, "")
 	b2, _ := startBackend(t, "")
@@ -67,7 +67,7 @@ func TestProxyTraceStitch(t *testing.T) {
 				telemetry.SpanName(telemetry.ProcProxy, st), call.Spans)
 		}
 	}
-	for _, st := range []uint8{telemetry.StageQueue, telemetry.StageCoalesce, telemetry.StageKernel} {
+	for _, st := range []uint8{telemetry.StageQueue, telemetry.StageKernel} {
 		if !byProc[telemetry.ProcBackend][st] {
 			t.Errorf("missing backend span %s (got %v)",
 				telemetry.SpanName(telemetry.ProcBackend, st), call.Spans)

@@ -22,20 +22,15 @@ type Config struct {
 	// Addr is the TCP listen address for ListenAndServe
 	// (default "127.0.0.1:7043").
 	Addr string
-	// Workers bounds the evaluation worker pool, which is also the
-	// dispatcher's shard count — one coalescing lane per worker
-	// (default GOMAXPROCS).
+	// Workers is the number of evaluation goroutines draining the
+	// dispatcher's work channel (default GOMAXPROCS).
 	Workers int
 	// MaxFrame bounds a single frame's payload in bytes
 	// (default DefaultMaxFrame). Oversized frames close the connection.
 	MaxFrame int
-	// MaxBatch caps the values in one coalesced kernel dispatch
-	// (default 1 << 16).
-	MaxBatch int
 	// MaxInflight bounds the values admitted but not yet evaluated,
 	// across all functions; beyond it requests are shed with
-	// StatusBusy (default 1 << 20). Each dispatch shard additionally
-	// bounds its own admissions at twice its fair share.
+	// StatusBusy (default 1 << 20).
 	MaxInflight int64
 	// ConnInflight bounds the pipelined requests in flight on one
 	// connection; beyond it the connection's reader stops consuming
@@ -70,9 +65,6 @@ func (c *Config) withDefaults() Config {
 	if out.MaxFrame <= 0 {
 		out.MaxFrame = DefaultMaxFrame
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1 << 16
-	}
 	if out.MaxInflight <= 0 {
 		out.MaxInflight = 1 << 20
 	}
@@ -95,9 +87,9 @@ func (c *Config) withDefaults() Config {
 }
 
 // Server is the rlibmd daemon: it accepts connections, decodes
-// requests, funnels them through the sharded coalescing dispatcher,
-// and writes bit-exact responses, out of order, with scatter-gather
-// frame batching.
+// requests, hands each one to a pool of evaluation workers as its own
+// kernel call, and writes bit-exact responses, out of order, with
+// scatter-gather frame batching.
 type Server struct {
 	cfg    Config
 	disp   *dispatcher
@@ -125,7 +117,7 @@ func New(cfg Config) *Server {
 	m := newMetrics(keys)
 	s := &Server{
 		cfg:    cfg,
-		disp:   newDispatcher(eval, cfg.Workers, cfg.MaxBatch, cfg.MaxInflight, m),
+		disp:   newDispatcher(eval, cfg.Workers, cfg.MaxInflight, m),
 		m:      m,
 		flight: telemetry.NewFlightRecorder("rlibmd", cfg.FlightEvents),
 		conns:  make(map[net.Conn]struct{}),
@@ -148,9 +140,8 @@ func (s *Server) Metrics() *Metrics { return s.m }
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 
 // AdminHandler serves the full admin surface: everything
-// Metrics.AdminHandler provides (/metrics, /debug/vars,
-// /debug/pprof/*) plus the flight recorder at /debug/flight and
-// /debug/flight/trigger.
+// Metrics.AdminHandler provides (/metrics, /debug/pprof/*) plus the
+// flight recorder at /debug/flight and /debug/flight/trigger.
 func (s *Server) AdminHandler() http.Handler {
 	return s.flight.AdminHandler(s.m.AdminHandler())
 }
@@ -218,7 +209,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown gracefully drains the server: stop accepting, wake blocked
 // readers so connections finish their in-flight requests and close,
 // wait for every connection, then stop the workers once all admitted
-// batches have been evaluated. It returns ctx.Err() if the context
+// requests have been evaluated. It returns ctx.Err() if the context
 // expires first (remaining connections are then closed hard).
 func (s *Server) Shutdown(ctx context.Context) error {
 	drainStart := time.Now()
@@ -270,7 +261,7 @@ const maxFlushFrames = 256
 // connWriter drains completed pendings for one connection and writes
 // their response frames with scatter-gather batching: headers land in
 // a reused arena, 4-byte payloads are referenced in place straight out
-// of the batch result buffers (zero copy), and everything queued at
+// of the pendings' result buffers (zero copy), and everything queued at
 // flush time goes to the kernel in a single writev. Admission tokens
 // (sem) released only after a frame's bytes are written are what bound
 // the respq, so dispatch workers never block delivering to it.
@@ -290,10 +281,8 @@ type connWriter struct {
 	nbytes int64
 	failed bool
 
-	spanScratch [3]telemetry.SpanRecord // traced-response span staging (a field so no frame allocates)
+	spanScratch [2]telemetry.SpanRecord // traced-response span staging (a field so no frame allocates)
 }
-
-func (w *connWriter) deliver(p *pending) { w.respq <- p }
 
 // admit takes one pipelining slot; it blocks while ConnInflight
 // responses are outstanding, which is the per-connection backpressure.
@@ -306,7 +295,7 @@ func (w *connWriter) admit() {
 // responses go out as v1 frames with the server's MaxProtoVersion
 // advertisement in the pad byte (v1 decoders never read it); traced
 // ones as v2 frames echoing the trace block plus the backend stage
-// spans stamped by runBatch.
+// spans stamped by the dispatcher.
 func (w *connWriter) add(p *pending) {
 	width := TypeWidth(p.typ)
 	count := 0
@@ -319,10 +308,9 @@ func (w *connWriter) add(p *pending) {
 		var lat int64
 		if p.tKern1 != 0 {
 			startNs := p.start.UnixNano()
-			w.spanScratch[0] = telemetry.SpanRecord{Start: startNs, Dur: p.tAssemble - startNs, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue}
-			w.spanScratch[1] = telemetry.SpanRecord{Start: p.tAssemble, Dur: p.tKern0 - p.tAssemble, Proc: telemetry.ProcBackend, Stage: telemetry.StageCoalesce}
-			w.spanScratch[2] = telemetry.SpanRecord{Start: p.tKern0, Dur: p.tKern1 - p.tKern0, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}
-			spans = w.spanScratch[:3]
+			w.spanScratch[0] = telemetry.SpanRecord{Start: startNs, Dur: p.tKern0 - startNs, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue}
+			w.spanScratch[1] = telemetry.SpanRecord{Start: p.tKern0, Dur: p.tKern1 - p.tKern0, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}
+			spans = w.spanScratch[:]
 			lat = p.tKern1 - startNs
 		}
 		w.hdrs = appendTracedResponseHeader(w.hdrs, p.status, p.typ, p.id, count, width, p.traceID, p.traceFlags, spans)
@@ -342,7 +330,7 @@ func (w *connWriter) add(p *pending) {
 	if count > 0 {
 		var payload []byte
 		if width == 4 && hostLE {
-			payload = bitsAsBytes(p.dst) // zero copy: the batch buffer is the wire payload
+			payload = bitsAsBytes(p.dst) // zero copy: the result buffer is the wire payload
 		} else {
 			poff := len(w.arena)
 			w.arena = appendValues(w.arena, p.dst, width)
@@ -355,7 +343,7 @@ func (w *connWriter) add(p *pending) {
 }
 
 // flush writes every queued frame in one scatter-gather writev, then
-// releases the batch buffers, pendings and pipelining slots.
+// releases the pendings and pipelining slots.
 func (w *connWriter) flush() {
 	if len(w.sent) == 0 {
 		return
@@ -425,11 +413,11 @@ func (w *connWriter) run() {
 }
 
 // handleConn runs one connection: a reader loop decoding frames into
-// pooled pendings and submitting them to the sharded dispatcher, and a
-// writer goroutine streaming completed responses back, out of order
+// pooled pendings and submitting them to the dispatcher, and a writer
+// goroutine streaming completed responses back, out of order
 // (responses carry the request ID). Up to ConnInflight requests ride
-// the pipeline concurrently per connection; concurrency across
-// connections additionally feeds the coalescer.
+// the pipeline concurrently per connection, each evaluated by
+// whichever worker is free.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.connWG.Done()
 	s.m.Conns.Add(1)
@@ -458,7 +446,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		<-writerDone
 	}()
 
-	hint := s.connSeq.Add(1)
+	connID := s.connSeq.Add(1)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := frameReader{max: s.cfg.MaxFrame}
 	for {
@@ -485,32 +473,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		if len(frame) < reqHeaderLen ||
-			(frame[0] != ProtoVersion && frame[0] != ProtoVersionTraced) {
+		pr, err := ParseRequest(frame)
+		if err != nil {
 			s.malformed(w, frame)
 			return
 		}
-		hdr := reqHeaderLen
-		traced := frame[0] == ProtoVersionTraced
-		var traceID, traceFlags uint64
-		if traced {
-			if len(frame) < reqHeaderLen+TraceBlockLen {
-				s.malformed(w, frame)
-				return
-			}
-			traceID = binary.LittleEndian.Uint64(frame[12:])
-			traceFlags = binary.LittleEndian.Uint64(frame[20:])
-			hdr += TraceBlockLen
+		if pr.Traced {
 			s.m.TracedFrames.Add(1)
 		}
-		op, typ, nameLen := frame[1], frame[2], int(frame[3])
-		id := binary.LittleEndian.Uint32(frame[4:])
-		count := int(binary.LittleEndian.Uint32(frame[8:]))
-		if op == OpPing {
-			if nameLen != 0 || count != 0 || len(frame) != hdr {
-				s.malformed(w, frame)
-				return
-			}
+		if pr.Op == OpPing {
 			// A draining server is alive but not ready: answering pings
 			// with SHUTDOWN (instead of OK) lets health probes eject it
 			// before its listener disappears, so a fleet proxy reroutes
@@ -518,69 +489,62 @@ func (s *Server) handleConn(conn net.Conn) {
 			// are always v1 — their pad-byte advertisement is how peers
 			// discover v2 support.
 			if s.draining.Load() {
-				s.respond(w, id, typ, StatusShutdown)
+				s.respond(w, pr.ID, pr.Type, StatusShutdown)
 				return
 			}
-			s.respond(w, id, typ, StatusOK)
+			s.respond(w, pr.ID, pr.Type, StatusOK)
 			continue
 		}
-		width := TypeWidth(typ)
-		if op != OpEval || width == 0 ||
-			len(frame) != hdr+nameLen+count*width {
-			s.malformed(w, frame)
-			return
-		}
-		name := frame[hdr : hdr+nameLen]
 		s.m.Requests.Add(1)
 		if s.draining.Load() {
 			s.m.ErrFrames.Add(1)
-			s.respondTraced(w, id, typ, StatusShutdown, traced, traceID, traceFlags)
+			s.respondTraced(w, &pr, StatusShutdown)
 			return
 		}
-		ks := s.disp.lookup(typ, name)
+		ks := s.disp.lookup(pr.Type, pr.Name)
 		if ks == nil {
 			s.m.ErrFrames.Add(1)
 			s.flight.Record(&telemetry.WideEvent{
-				Kind: telemetry.EvFrame, Op: op, Type: typ, Status: StatusUnknownFunc,
-				ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Note: "unknown-func",
+				Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type, Status: StatusUnknownFunc,
+				ID: pr.ID, Count: uint32(pr.Count), Conn: connID, TraceID: pr.TraceID, Note: "unknown-func",
 			})
-			s.respondTraced(w, id, typ, StatusUnknownFunc, traced, traceID, traceFlags)
+			s.respondTraced(w, &pr, StatusUnknownFunc)
 			continue
 		}
 		s.flight.Record(&telemetry.WideEvent{
-			Kind: telemetry.EvFrame, Op: op, Type: typ,
-			ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Name: ks.key.name,
+			Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type,
+			ID: pr.ID, Count: uint32(pr.Count), Conn: connID, TraceID: pr.TraceID, Name: ks.key.name,
 		})
-		if count == 0 {
+		if pr.Count == 0 {
 			if ks.fm != nil {
 				ks.fm.Requests.Add(1)
 			}
-			s.respondTraced(w, id, typ, StatusOK, traced, traceID, traceFlags)
+			s.respondTraced(w, &pr, StatusOK)
 			continue
 		}
-		p := getPending(count)
-		decodeValuesInto(p.src, frame[hdr+nameLen:], width)
+		p := getPending(pr.Count)
+		decodeValuesInto(p.src, pr.Payload, TypeWidth(pr.Type))
 		p.ks, p.out, p.start = ks, w, time.Now()
-		p.id, p.typ = id, typ
-		p.traced, p.traceID, p.traceFlags = traced, traceID, traceFlags
+		p.id, p.typ = pr.ID, pr.Type
+		p.traced, p.traceID, p.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
 		w.admit()
-		if st := s.disp.submit(p, hint); st != StatusOK {
+		if st := s.disp.submit(p); st != StatusOK {
 			s.m.ErrFrames.Add(1)
 			s.flight.Record(&telemetry.WideEvent{
-				Kind: telemetry.EvShed, Op: op, Type: typ, Status: st,
-				ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Name: ks.key.name,
+				Kind: telemetry.EvShed, Op: pr.Op, Type: pr.Type, Status: st,
+				ID: pr.ID, Count: uint32(pr.Count), Conn: connID, TraceID: pr.TraceID, Name: ks.key.name,
 			})
 			if s.busyW.ObserveShed() {
 				s.flight.TriggerDump("busy-fraction")
 			}
-			p.status, p.dst, p.batch = st, nil, nil
+			p.status = st
 			w.respq <- p // slot already held; deliver the error ourselves
 			continue
 		}
 		s.busyW.ObserveOK()
 		if ks.fm != nil {
 			ks.fm.Requests.Add(1)
-			ks.fm.Values.Add(uint64(count))
+			ks.fm.Values.Add(uint64(pr.Count))
 		}
 	}
 }
@@ -589,16 +553,16 @@ func (s *Server) handleConn(conn net.Conn) {
 // error status) through the writer, in arrival order with the data
 // path.
 func (s *Server) respond(w *connWriter, id uint32, typ, status uint8) {
-	s.respondTraced(w, id, typ, status, false, 0, 0)
+	s.respondTraced(w, &ParsedRequest{ID: id, Type: typ}, status)
 }
 
-// respondTraced is respond carrying the request's trace context, so
-// error statuses for traced frames still echo the trace block (the
-// proxy relays them downstream under the same trace id).
-func (s *Server) respondTraced(w *connWriter, id uint32, typ, status uint8, traced bool, traceID, traceFlags uint64) {
+// respondTraced is respond for an eval request, carrying its trace
+// context, so error statuses for traced frames still echo the trace
+// block (the proxy relays them downstream under the same trace id).
+func (s *Server) respondTraced(w *connWriter, pr *ParsedRequest, status uint8) {
 	p := getPending(0)
-	p.id, p.typ, p.status = id, typ, status
-	p.traced, p.traceID, p.traceFlags = traced, traceID, traceFlags
+	p.id, p.typ, p.status = pr.ID, pr.Type, status
+	p.traced, p.traceID, p.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
 	p.out = w
 	w.admit()
 	w.respq <- p

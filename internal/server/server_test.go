@@ -307,22 +307,22 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	t.Logf("drain: %d ok requests, %d clients saw the drain", ok.Load(), drained.Load())
 }
 
-// TestCoalescingMergesQueuedRequests pins the coalescer's core
-// behavior deterministically: while the (single-shard) worker is busy
-// evaluating one batch, further submits for the same key accumulate in
-// the shard queue and are dispatched together as one merged batch when
-// the worker frees up.
-func TestCoalescingMergesQueuedRequests(t *testing.T) {
+// TestWorkersEvaluateOneConnectionInParallel pins the property the
+// worker pool exists for: two requests submitted back to back from one
+// goroutine, as one connection's reader submits its pipelined frames,
+// are both inside the kernel at once, on two workers. A design that
+// evaluated in the reader would hold the second behind the first.
+func TestWorkersEvaluateOneConnectionInParallel(t *testing.T) {
 	key := batchKey{typ: TFloat32, name: "gate"}
 	gate := make(chan struct{})
-	started := make(chan struct{}, 16)
+	entered := make(chan struct{}, 2)
 	eval := map[batchKey]evalFunc{key: func(dst, src []uint32) {
-		started <- struct{}{}
+		entered <- struct{}{}
 		<-gate
 		copy(dst, src)
 	}}
 	m := newMetrics([]batchKey{key})
-	d := newDispatcher(eval, 1, 1<<16, 1<<20, m)
+	d := newDispatcher(eval, 2, 1<<20, m)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -331,51 +331,39 @@ func TestCoalescingMergesQueuedRequests(t *testing.T) {
 		}
 	}()
 
-	inputs := [][]uint32{{1}, {2}, {3, 4}, {5}}
-	results := make([][]uint32, len(inputs))
-	var wg sync.WaitGroup
-	submit := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, status := d.evalSync(key, uint32(i), inputs[i])
-			if status != StatusOK {
-				t.Errorf("submit %d: status %s", i, StatusText(status))
-				return
+	w := &connWriter{respq: make(chan *pending, 2)}
+	ks := d.lookup(TFloat32, []byte("gate"))
+	go func() {
+		for id := uint32(1); id <= 2; id++ {
+			p := getPending(1)
+			p.src[0] = 100 + id
+			p.ks, p.out, p.start, p.id = ks, w, time.Now(), id
+			if st := d.submit(p); st != StatusOK {
+				t.Errorf("submit %d: status %s", id, StatusText(st))
 			}
-			results[i] = out
-		}()
-	}
-	submit(0)
-	<-started // the worker is now blocked inside eval on batch {1}
-	for i := 1; i < len(inputs); i++ {
-		submit(i)
-	}
-	// Wait for the three later submits to be queued behind the
-	// blocked worker (one shard, so all land on queue 0).
-	q := d.lookup(TFloat32, []byte("gate")).qs[0]
-	for {
-		q.mu.Lock()
-		n := len(q.pend)
-		q.mu.Unlock()
-		if n == 3 {
-			break
 		}
-		time.Sleep(time.Millisecond)
+	}()
+	timeout := time.After(5 * time.Second)
+	for n := 0; n < 2; n++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			close(gate)
+			t.Fatalf("%d of 2 requests inside the kernel before the gate opened, want 2", n)
+		}
 	}
 	close(gate)
-	wg.Wait()
-	if got := m.Batches.Load(); got != 2 {
-		t.Errorf("batches = %d, want 2 (one solo, one coalesced from 3 requests)", got)
-	}
-	if got := m.BatchedValues.Load(); got != 5 {
-		t.Errorf("batched values = %d, want 5", got)
-	}
-	for i, in := range inputs {
-		for j := range in {
-			if results[i][j] != in[j] {
-				t.Errorf("request %d: result %v, want %v (scatter misrouted)", i, results[i], in)
-			}
+	for n := 0; n < 2; n++ {
+		p := <-w.respq
+		if p.status != StatusOK || len(p.dst) != 1 || p.dst[0] != 100+p.id {
+			t.Errorf("request %d: status %s, result %v", p.id, StatusText(p.status), p.dst)
 		}
+		p.release()
+	}
+	if got := m.Batches.Load(); got != 2 {
+		t.Errorf("kernel calls = %d, want 2 (one per request)", got)
+	}
+	if got := m.BatchedValues.Load(); got != 2 {
+		t.Errorf("values = %d, want 2", got)
 	}
 }

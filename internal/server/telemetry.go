@@ -1,22 +1,15 @@
 // Server observability on the shared internal/telemetry registry.
 //
-// This replaces the ad-hoc expvar histogram file the server started
-// with: every counter now lives in a telemetry.Registry, which gives
-// the daemon a Prometheus /metrics endpoint, midpoint-interpolated
-// percentiles (the old histogram reported the bucket upper bound —
-// up to 2x high; the midpoint is within −25%/+50%, documented on
-// telemetry.Histogram.Quantile), and one registry that other layers
-// (oracle cache, runtime kernels) can export through. The expvar
-// /debug/vars view is kept for compatibility, rendered from the same
-// registry-backed values.
+// Every counter lives in a telemetry.Registry, which gives the daemon
+// a Prometheus /metrics endpoint, midpoint-interpolated percentiles
+// (within −25%/+50%, documented on telemetry.Histogram.Quantile), and
+// one registry that other layers (oracle cache, runtime kernels) can
+// export through. /metrics is the one metrics surface.
 package server
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync/atomic"
 
 	"rlibm32/internal/telemetry"
 )
@@ -42,14 +35,12 @@ type Metrics struct {
 	Requests      *telemetry.Counter // eval requests (all keys)
 	Malformed     *telemetry.Counter // malformed frames (connection closed)
 	ErrFrames     *telemetry.Counter // error responses sent (any non-OK status)
-	Batches       *telemetry.Counter // coalesced batches dispatched to kernels
-	BatchedValues *telemetry.Counter // values across all dispatched batches
+	Batches       *telemetry.Counter // kernel calls (one per evaluated request)
+	BatchedValues *telemetry.Counter // values across all kernel calls
 	TracedFrames  *telemetry.Counter // v2 request frames carrying a trace context
 
-	batchSize    *telemetry.Histogram // values per coalesced batch
+	batchSize    *telemetry.Histogram // values per kernel call
 	shedValues   *telemetry.Counter   // values refused by admission control
-	shardShed    *telemetry.Counter   // values refused by the per-shard bound
-	steals       *telemetry.Counter   // batches drained by a non-home worker
 	writevs      *telemetry.Counter   // scatter-gather flushes to client sockets
 	writevFrames *telemetry.Counter   // response frames across all flushes
 	writevBytes  *telemetry.Counter   // response bytes across all flushes
@@ -75,19 +66,15 @@ func newMetrics(keys []batchKey) *Metrics {
 		ErrFrames: reg.Counter("rlibmd_error_frames_total",
 			"error responses sent (any non-OK status)"),
 		Batches: reg.Counter("rlibmd_batches_total",
-			"coalesced batches dispatched to the kernels"),
+			"kernel calls, one per evaluated request"),
 		BatchedValues: reg.Counter("rlibmd_batched_values_total",
-			"values across all dispatched batches"),
+			"values across all kernel calls"),
 		TracedFrames: reg.Counter("rlibmd_traced_frames_total",
 			"request frames carrying a v2 trace context"),
 		batchSize: reg.Histogram("rlibmd_batch_size",
-			"values per coalesced kernel batch (power-of-two buckets)"),
+			"values per kernel call (power-of-two buckets)"),
 		shedValues: reg.Counter("rlibmd_shed_values_total",
 			"values refused by admission control (BUSY)"),
-		shardShed: reg.Counter("rlibmd_shard_shed_values_total",
-			"values refused by the per-shard inflight bound (subset of shed)"),
-		steals: reg.Counter("rlibmd_steals_total",
-			"coalesced batches drained by a worker outside their home shard"),
 		writevs: reg.Counter("rlibmd_writev_total",
 			"scatter-gather flushes to client sockets"),
 		writevFrames: reg.Counter("rlibmd_writev_frames_total",
@@ -129,80 +116,12 @@ func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 // outside the registry — callers count those under ErrFrames only).
 func (m *Metrics) forKey(k batchKey) *funcMetrics { return m.byKey[k] }
 
-// Snapshot renders every counter as a plain map, the shape expvar
-// wants. Percentiles are computed from the histograms at read time
-// using midpoint interpolation (error bound on Histogram.Quantile).
-func (m *Metrics) Snapshot() map[string]any {
-	perFunc := make(map[string]any, len(m.byKey))
-	keys := make([]batchKey, 0, len(m.byKey))
-	for k := range m.byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].typ != keys[j].typ {
-			return keys[i].typ < keys[j].typ
-		}
-		return keys[i].name < keys[j].name
-	})
-	for _, k := range keys {
-		fm := m.byKey[k]
-		if fm.Requests.Load() == 0 && fm.Busy.Load() == 0 {
-			continue
-		}
-		entry := map[string]any{
-			"requests": fm.Requests.Load(),
-			"values":   fm.Values.Load(),
-			"busy":     fm.Busy.Load(),
-			"p50_ns":   uint64(fm.lat.Quantile(0.50)),
-			"p99_ns":   uint64(fm.lat.Quantile(0.99)),
-		}
-		if n := fm.lat.Count(); n > 0 {
-			entry["mean_ns"] = fm.lat.Sum() / n
-		}
-		perFunc[TypeVariant(k.typ)+"/"+k.name] = entry
-	}
-	out := map[string]any{
-		"conns":          m.Conns.Load(),
-		"accepted":       m.Accepted.Load(),
-		"requests":       m.Requests.Load(),
-		"malformed":      m.Malformed.Load(),
-		"error_frames":   m.ErrFrames.Load(),
-		"batches":        m.Batches.Load(),
-		"batched_values": m.BatchedValues.Load(),
-		"shed_values":    m.shedValues.Load(),
-		"traced_frames":  m.TracedFrames.Load(),
-		"flight_dumps":   m.flightDumps.Load(),
-		"steals":         m.steals.Load(),
-		"writevs":        m.writevs.Load(),
-		"writev_frames":  m.writevFrames.Load(),
-		"func":           perFunc,
-	}
-	if b := m.Batches.Load(); b > 0 {
-		out["values_per_batch"] = float64(m.BatchedValues.Load()) / float64(b)
-	}
-	return out
-}
-
-// publishOnce guards the process-global expvar name: expvar.Publish
-// panics on duplicates, and tests construct many servers.
-var publishOnce atomic.Bool
-
-// Publish exports the metrics under the expvar name "rlibmd". Only the
-// first server in a process wins the global name; later servers are
-// still readable through AdminHandler, which closes over the instance.
-func (m *Metrics) Publish() {
-	if publishOnce.CompareAndSwap(false, true) {
-		expvar.Publish("rlibmd", expvar.Func(func() any { return m.Snapshot() }))
-	}
-}
-
 // AdminHandler serves the observability surface: Prometheus text
-// format at /metrics (this server's registry), the legacy expvar JSON
-// at /debug/vars, and the standard /debug/pprof endpoints.
+// format at /metrics (this server's registry) and the standard
+// /debug/pprof endpoints.
 func (m *Metrics) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m.reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

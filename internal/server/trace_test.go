@@ -60,8 +60,7 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 // lets old peers ignore the whole extension.
 func TestTracedResponseRoundTrip(t *testing.T) {
 	spans := []telemetry.SpanRecord{
-		{Start: 1000, Dur: 50, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue},
-		{Start: 1050, Dur: 20, Proc: telemetry.ProcBackend, Stage: telemetry.StageCoalesce},
+		{Start: 1000, Dur: 70, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue},
 		{Start: 1070, Dur: 90, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel},
 	}
 	resp := &Response{
@@ -239,9 +238,9 @@ func FuzzTracedFrame(f *testing.F) {
 
 // TestEndToEndTrace drives a traced request through a live server:
 // negotiation via the ping advertisement, the trace id echoed on the
-// response, and the three backend pipeline spans (queue, coalesce,
-// kernel) stamped with plausible timings — while results stay
-// bit-exact with the in-process library.
+// response, and the two backend pipeline spans (queue, kernel)
+// stamped with plausible timings — while results stay bit-exact with
+// the in-process library.
 func TestEndToEndTrace(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 2})
 	c, err := Dial(addr)
@@ -293,7 +292,7 @@ func TestEndToEndTrace(t *testing.T) {
 		}
 		stages[s.Stage] = s
 	}
-	for _, st := range []uint8{telemetry.StageQueue, telemetry.StageCoalesce, telemetry.StageKernel} {
+	for _, st := range []uint8{telemetry.StageQueue, telemetry.StageKernel} {
 		s, ok := stages[st]
 		if !ok {
 			t.Errorf("missing backend span %s", telemetry.SpanName(telemetry.ProcBackend, st))

@@ -41,9 +41,8 @@ const (
 	StageRingWalk uint8 = 4 // proxy: slot acquired -> issued to a backend
 	StageForward  uint8 = 5 // proxy: first-attempt issue -> upstream completion
 	StageRetry    uint8 = 6 // proxy: failover reissue -> upstream completion
-	StageQueue    uint8 = 7 // backend: conn admit -> batch drained by a worker
-	StageCoalesce uint8 = 8 // backend: batch drained -> kernel entry
-	StageKernel   uint8 = 9 // backend: polynomial kernel evaluation
+	StageQueue    uint8 = 7 // backend: conn admit -> kernel entry
+	StageKernel   uint8 = 9 // backend: polynomial kernel evaluation (8 is retired)
 )
 
 var procNames = [...]string{ProcClient: "client", ProcProxy: "proxy", ProcBackend: "backend"}
@@ -56,7 +55,6 @@ var stageNames = [...]string{
 	StageForward:  "forward",
 	StageRetry:    "retry",
 	StageQueue:    "queue",
-	StageCoalesce: "coalesce",
 	StageKernel:   "kernel",
 }
 

@@ -18,7 +18,6 @@ func TestSpanName(t *testing.T) {
 		{ProcProxy, StageForward, "proxy.forward"},
 		{ProcProxy, StageRetry, "proxy.retry"},
 		{ProcBackend, StageQueue, "backend.queue"},
-		{ProcBackend, StageCoalesce, "backend.coalesce"},
 		{ProcBackend, StageKernel, "backend.kernel"},
 		{9, 42, "proc#9.stage#42"},
 	}
