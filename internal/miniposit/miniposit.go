@@ -4,16 +4,18 @@
 // IEEE formats in internal/minifloat, its 65536-value input space lets
 // the generated library be validated exhaustively.
 //
-// The encoding algorithms mirror the posit32 package (same regime/
-// exponent/fraction scheme, round-to-nearest-even on the encoding,
-// saturation) with the cut at 15 value bits instead of 31. Every
-// posit16 value is exactly representable in float64 (≤ 12-bit
-// significands, exponents within ±56).
+// The encoding shares the posit32 package's codec (internal/positcodec:
+// the same regime/exponent/fraction scheme, round-to-nearest-even on
+// the encoding, saturation) at width 16 instead of 32. Every posit16
+// value is exactly representable in float64 (≤ 12-bit significands,
+// exponents within ±56).
 package miniposit
 
 import (
 	"math"
 	"math/big"
+
+	"rlibm32/internal/positcodec"
 )
 
 // Special 16-bit patterns.
@@ -25,199 +27,17 @@ const (
 	MinPos uint16 = 0x0001 // 2^-56
 )
 
-const es = 2
-
 // IsNaR reports whether b is the NaR pattern.
 func IsNaR(b uint16) bool { return b == NaR }
 
 // Neg negates (two's complement of the pattern).
 func Neg(b uint16) uint16 { return uint16(-b) }
 
-// parts decomposes a nonzero, non-NaR posit16:
-// |p| = (1 + frac/2^fbits)·2^e with fbits <= 11.
-func parts(p uint16) (neg bool, e int, frac uint32, fbits int) {
-	u := p
-	if u>>15 == 1 {
-		neg = true
-		u = uint16(-u)
-	}
-	body := uint32(u) << 17 // drop sign; 15 significant bits at the top of 32
-	var k, used int
-	if body>>31 == 1 {
-		n := 0
-		for n < 15 && (body<<uint(n))>>31 == 1 {
-			n++
-		}
-		k = n - 1
-		used = n + 1
-	} else {
-		n := 0
-		for n < 15 && (body<<uint(n))>>31 == 0 {
-			n++
-		}
-		k = -n
-		used = n + 1
-	}
-	if used > 15 {
-		used = 15
-	}
-	rest := body << uint(used)
-	restBits := 15 - used
-	eb := 0
-	ebTaken := restBits
-	if ebTaken > es {
-		ebTaken = es
-	}
-	if ebTaken > 0 {
-		eb = int(rest >> uint(32-ebTaken))
-		eb <<= uint(es - ebTaken)
-		rest <<= uint(ebTaken)
-		restBits -= ebTaken
-	}
-	e = 4*k + eb
-	fbits = restBits
-	if fbits > 0 {
-		frac = rest >> uint(32-fbits)
-	}
-	return neg, e, frac, fbits
-}
-
-// encodeMag encodes (1 + frac/2^fbits)·2^e with RNE-on-encoding and
-// saturation to [MinPos, MaxPos]. fbits <= 60.
-func encodeMag(e int, frac uint64, fbits int) uint16 {
-	if e > 56 {
-		return MaxPos
-	}
-	if e < -56 {
-		return MinPos
-	}
-	k := e >> 2
-	ebits := uint64(e - 4*k)
-	var regime uint64
-	var rl int
-	if k >= 0 {
-		rl = k + 2
-		regime = ((1 << uint(k+1)) - 1) << 1
-	} else {
-		rl = 1 - k
-		regime = 1
-	}
-	head := regime<<es | ebits
-	hbits := rl + es
-	var q uint64
-	var round, sticky bool
-	if hbits >= 16 {
-		cut := hbits - 15
-		q = head >> uint(cut)
-		round = (head>>uint(cut-1))&1 == 1
-		sticky = head&((1<<uint(cut-1))-1) != 0 || frac != 0
-	} else {
-		need := 15 - hbits
-		if fbits <= need {
-			q = head<<uint(need) | frac<<uint(need-fbits)
-		} else {
-			shift := fbits - need
-			q = head<<uint(need) | frac>>uint(shift)
-			round = (frac>>uint(shift-1))&1 == 1
-			sticky = frac&((1<<uint(shift-1))-1) != 0
-		}
-	}
-	if round && (sticky || q&1 == 1) {
-		q++
-	}
-	if q == 0 {
-		q = 1
-	}
-	if q > uint64(MaxPos) {
-		q = uint64(MaxPos)
-	}
-	return uint16(q)
-}
-
 // ToFloat64 decodes exactly (NaR → NaN).
-func ToFloat64(p uint16) float64 {
-	if p == Zero {
-		return 0
-	}
-	if p == NaR {
-		return math.NaN()
-	}
-	neg, e, frac, fbits := parts(p)
-	v := math.Ldexp(float64((uint32(1)<<uint(fbits))+frac), e-fbits)
-	if neg {
-		return -v
-	}
-	return v
-}
+func ToFloat64(p uint16) float64 { return positcodec.Decode(uint64(p), 16) }
 
 // FromFloat64 rounds to the nearest posit16 (NaN/±Inf → NaR).
-func FromFloat64(x float64) uint16 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return NaR
-	}
-	if x == 0 {
-		return Zero
-	}
-	neg := math.Signbit(x)
-	b := math.Float64bits(math.Abs(x))
-	exp := int(b>>52) & 0x7FF
-	frac := b & 0xFFFFFFFFFFFFF
-	var q uint16
-	if exp == 0 {
-		q = MinPos // subnormal double: far below MinPos
-	} else {
-		q = encodeMag(exp-1023, frac, 52)
-	}
-	if neg {
-		return uint16(-q)
-	}
-	return q
-}
-
-// decodeExt decodes a 17-bit extended encoding (the rounding boundary
-// between a posit and its successor).
-func decodeExt(u uint32) float64 {
-	body := uint64(u) << 48 // 16 body bits after the sign, left-aligned in 64
-	var k, used int
-	if body>>63 == 1 {
-		n := 0
-		for n < 16 && (body<<uint(n))>>63 == 1 {
-			n++
-		}
-		k = n - 1
-		used = n + 1
-	} else {
-		n := 0
-		for n < 16 && (body<<uint(n))>>63 == 0 {
-			n++
-		}
-		k = -n
-		used = n + 1
-	}
-	if used > 16 {
-		used = 16
-	}
-	rest := body << uint(used)
-	restBits := 16 - used
-	eb := 0
-	ebTaken := restBits
-	if ebTaken > es {
-		ebTaken = es
-	}
-	if ebTaken > 0 {
-		eb = int(rest >> (64 - uint(ebTaken)))
-		eb <<= uint(es - ebTaken)
-		rest <<= uint(ebTaken)
-		restBits -= ebTaken
-	}
-	e := 4*k + eb
-	fbits := restBits
-	var frac uint64
-	if fbits > 0 {
-		frac = rest >> (64 - uint(fbits))
-	}
-	return math.Ldexp(float64(uint64(1)<<uint(fbits)+frac), e-fbits)
-}
+func FromFloat64(x float64) uint16 { return uint16(positcodec.FromFloat64(x, 16)) }
 
 // upperBoundary returns the rounding boundary between the positive
 // posit p and its successor (+Inf above MaxPos).
@@ -225,7 +45,7 @@ func upperBoundary(p uint16) float64 {
 	if p == MaxPos {
 		return math.Inf(1)
 	}
-	return decodeExt(uint32(p)<<1 | 1)
+	return positcodec.Boundary(uint64(p), 16)
 }
 
 // Ord orders posit16 patterns by value (int16 interpretation).

@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"rlibm32/internal/perf"
 )
 
 // BenchmarkProtoRoundTrip measures one synchronous request through the
@@ -86,7 +88,8 @@ func BenchmarkDispatch(b *testing.B) {
 // per-connection frame path: with GC parked and everything warm, a
 // round trip (two frames plus dispatch on the server, two frames on
 // the client) must average under one allocation — i.e. the occasional
-// pool refill is tolerated, per-frame garbage is not.
+// pool refill is tolerated, per-frame garbage is not. It runs a
+// float32 and a posit32 exp, one per batch path.
 func TestPerFrameSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short")
@@ -109,28 +112,43 @@ func TestPerFrameSteadyStateAllocs(t *testing.T) {
 	if v := c.PeerVersion(); v != MaxProtoVersion {
 		t.Fatalf("peer version %d after ping, want %d", v, MaxProtoVersion)
 	}
-	in, _ := expWorkload(256)
-	dst := make([]uint32, len(in))
-	run := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, status, err := c.EvalBits(TFloat32, "exp", dst, in); err != nil || status != StatusOK {
-				t.Fatalf("status %s err %v", StatusText(status), err)
+	f32in, _ := expWorkload(256)
+	p32in := make([]uint32, 256)
+	for i, p := range perf.PositInputs("exp", len(p32in)) {
+		p32in[i] = uint32(p)
+	}
+	for _, tc := range []struct {
+		name string
+		typ  uint8
+		in   []uint32
+	}{
+		{"float32", TFloat32, f32in},
+		{"posit32", TPosit32, p32in},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := make([]uint32, len(tc.in))
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, status, err := c.EvalBits(tc.typ, "exp", dst, tc.in); err != nil || status != StatusOK {
+						t.Fatalf("status %s err %v", StatusText(status), err)
+					}
+				}
 			}
-		}
+			run(2000) // grow every arena, pool and map to steady state
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			runtime.GC()
+			run(200)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const N = 2000
+			run(N)
+			runtime.ReadMemStats(&after)
+			per := float64(after.Mallocs-before.Mallocs) / N
+			if per >= 1 {
+				t.Errorf("steady-state frame path allocates: %.2f mallocs per round trip", per)
+			}
+			t.Logf("steady state: %.3f mallocs per round trip (%d over %d requests)",
+				per, after.Mallocs-before.Mallocs, N)
+		})
 	}
-	run(2000) // grow every arena, pool and map to steady state
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	run(200)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const N = 2000
-	run(N)
-	runtime.ReadMemStats(&after)
-	per := float64(after.Mallocs-before.Mallocs) / N
-	if per >= 1 {
-		t.Errorf("steady-state frame path allocates: %.2f mallocs per round trip", per)
-	}
-	t.Logf("steady state: %.3f mallocs per round trip (%d over %d requests)",
-		per, after.Mallocs-before.Mallocs, N)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rlibm32/bfloat16"
 	"rlibm32/float16"
@@ -28,17 +29,15 @@ type batchKey struct {
 // f(src[i]) in the key's representation. len(dst) == len(src).
 type evalFunc func(dst, src []uint32)
 
-// evalChunk sizes the stack-resident conversion buffers between wire
-// bit patterns and the kernels' element types (matches the kernels'
-// own internal chunking).
+// evalChunk is the number of values wrapFloat32 converts per kernel
+// call (matches the kernels' own internal chunking).
 const evalChunk = 256
 
-// Conversion buffers between wire bit patterns and the kernels'
-// element types. Pooled (not stack arrays) because the slices are
-// passed to non-inlinable kernel closures and would otherwise escape —
-// heap-allocating two 1 KiB arrays per batch.
+// Conversion buffers between wire bit patterns and float32. Pooled (not
+// stack arrays) because the slices are passed to non-inlinable kernel
+// closures and would otherwise escape — heap-allocating two 1 KiB
+// arrays per batch.
 var f32ConvPool = sync.Pool{New: func() any { return new([2 * evalChunk]float32) }}
-var positConvPool = sync.Pool{New: func() any { return new([2 * evalChunk]posit32.Posit) }}
 
 // wrapFloat32 adapts an rlibm batch kernel to bit-pattern slices.
 func wrapFloat32(f func(dst, xs []float32)) evalFunc {
@@ -59,24 +58,15 @@ func wrapFloat32(f func(dst, xs []float32)) evalFunc {
 	}
 }
 
-// wrapPosit32 adapts a positmath batch kernel; posits already are
-// their bit patterns, so the conversion is a cast.
+// wrapPosit32 adapts a positmath batch kernel. Posits are their bit
+// patterns, so the wire slices are viewed as []posit32.Posit in place.
 func wrapPosit32(f func(dst, ps []posit32.Posit)) evalFunc {
-	return func(dst, src []uint32) {
-		conv := positConvPool.Get().(*[2 * evalChunk]posit32.Posit)
-		ps, qs := conv[:evalChunk], conv[evalChunk:]
-		for off := 0; off < len(src); off += evalChunk {
-			n := min(len(src)-off, evalChunk)
-			for j := 0; j < n; j++ {
-				ps[j] = posit32.Posit(src[off+j])
-			}
-			f(qs[:n], ps[:n])
-			for j := 0; j < n; j++ {
-				dst[off+j] = uint32(qs[j])
-			}
-		}
-		positConvPool.Put(conv)
-	}
+	return func(dst, src []uint32) { f(positView(dst), positView(src)) }
+}
+
+// positView reinterprets wire bit patterns as posits without copying.
+func positView(u []uint32) []posit32.Posit {
+	return unsafe.Slice((*posit32.Posit)(unsafe.SliceData(u)), len(u))
 }
 
 // wrap16 adapts a scalar 16-bit function. The half-width libraries

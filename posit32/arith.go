@@ -1,6 +1,10 @@
 package posit32
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"rlibm32/internal/positcodec"
+)
 
 // Arithmetic on posit32 values, correctly rounded (round-to-nearest,
 // ties-to-even on the encoding, with saturation). All operations are
@@ -14,31 +18,18 @@ type decomp struct {
 	exp2 int    // binary exponent of the least significant bit of m
 }
 
+// decomp unpacks a nonzero, non-NaR posit with its fraction's 27
+// possible bits as the integer significand: m ∈ [2^27, 2^28).
 func (p Posit) decomp() decomp {
-	neg, e, frac, fbits := p.parts()
-	return decomp{neg: neg, m: uint64(frac) | 1<<uint(fbits), exp2: e - fbits}
+	neg, e, frac := positcodec.Unpack(uint64(p), 32)
+	return decomp{neg: neg, m: 1<<27 | frac>>37, exp2: e - 27}
 }
 
-// encodeDecomp rounds m ⋅ 2^exp2 (m > 0) to a posit, with an extra
-// sticky bit for discarded low-order information.
+// encodeDecomp rounds m ⋅ 2^exp2 (m > 0) to a posit; sticky marks
+// discarded nonzero low-order information below m.
 func encodeDecomp(neg bool, m uint64, exp2 int, sticky bool) Posit {
 	t := bits.Len64(m) - 1 // m in [2^t, 2^(t+1))
-	e := exp2 + t
-	frac := m - 1<<uint(t)
-	fbits := t
-	if sticky {
-		// Fold the sticky bit in as one extra LSB: this preserves both
-		// the round-bit position and tie detection in encodeMag.
-		frac = frac<<1 | 1
-		fbits++
-		if fbits > 62 {
-			// Renormalize: drop the lowest fraction bit into sticky again.
-			s := frac & 1
-			frac = frac>>1 | s // keep stickiness
-			fbits--
-		}
-	}
-	return signed(encodeMag(e, frac, fbits), neg)
+	return Posit(positcodec.Encode(neg, exp2+t, m<<(64-t), sticky, 32))
 }
 
 // Add returns the correctly rounded sum p + q.
@@ -65,7 +56,7 @@ func (p Posit) Add(q Posit) Posit {
 		sb = -1
 	}
 	if shift <= 32 {
-		// Exact path: a.m <= 2^28, so a.m<<32 fits in int64.
+		// Exact path: a.m < 2^28, so a.m<<32 fits in int64.
 		sum := sa*int64(a.m<<uint(shift)) + sb*int64(b.m)
 		if sum == 0 {
 			return Zero

@@ -180,3 +180,39 @@ func TestSliceLengthContract(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalSliceNoAllocs pins the zero-allocation contract of the posit
+// batch path: every function, 1024-value batches.
+func TestEvalSliceNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race by design")
+	}
+	for _, name := range positmath.Names() {
+		ps := perf.PositInputs(name, 1024)
+		dst := make([]posit32.Posit, len(ps))
+		if n := testing.AllocsPerRun(100, func() { positmath.EvalSlice(name, dst, ps) }); n != 0 {
+			t.Errorf("%s: %v allocs per EvalSlice batch, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkEvalSliceFuncs1024 is the posit32 mirror of the float32
+// per-function batch benchmark: every function through EvalSlice at
+// 1024 values, reporting ns/value and values/s.
+func BenchmarkEvalSliceFuncs1024(b *testing.B) {
+	for _, name := range positmath.Names() {
+		ps := perf.PositInputs(name, 1024)
+		dst := make([]posit32.Posit, len(ps))
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := positmath.EvalSlice(name, dst, ps); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perValue := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(ps))
+			b.ReportMetric(perValue, "ns/value")
+			b.ReportMetric(1e9/perValue, "values/s")
+		})
+	}
+}

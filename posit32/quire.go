@@ -31,15 +31,12 @@ func (q *Quire) Reset() {
 func (q *Quire) IsNaR() bool { return q.nar }
 
 // fixed returns p's value as an integer multiple of 2^-quireScale.
+// The shift is at least quireScale − 147 > 0 (exp2 ≥ −120 − 27).
 func fixed(p Posit) *big.Int {
-	neg, e, frac, fbits := p.parts()
-	m := big.NewInt(int64(frac) | 1<<uint(fbits))
-	shift := quireScale + e - fbits
-	if shift < 0 {
-		panic("posit32: quire scale too small") // unreachable: e ≥ -120, fbits ≤ 27
-	}
-	m.Lsh(m, uint(shift))
-	if neg {
+	d := p.decomp()
+	m := new(big.Int).SetUint64(d.m)
+	m.Lsh(m, uint(quireScale+d.exp2))
+	if d.neg {
 		m.Neg(m)
 	}
 	return m

@@ -3,6 +3,8 @@ package posit32
 import (
 	"math"
 	"math/big"
+
+	"rlibm32/internal/positcodec"
 )
 
 // This file provides the exact rounding geometry of posit32 needed by
@@ -17,52 +19,6 @@ import (
 // most 29 bits and an exponent within ±122, so it is exactly
 // representable in float64.
 
-// decodeExt decodes a posit-like encoding of the given width (33 for
-// boundary values) into its exact float64 value. u must be positive
-// (sign bit clear) and nonzero.
-func decodeExt(u uint64, width uint) float64 {
-	body := u << (65 - width) // body bits left-aligned in 64 bits
-	var k, used int
-	if body>>63 == 1 {
-		n := 0
-		for n < int(width-1) && (body<<uint(n))>>63 == 1 {
-			n++
-		}
-		k = n - 1
-		used = n + 1
-	} else {
-		n := 0
-		for n < int(width-1) && (body<<uint(n))>>63 == 0 {
-			n++
-		}
-		k = -n
-		used = n + 1
-	}
-	if used > int(width-1) {
-		used = int(width - 1)
-	}
-	rest := body << uint(used)
-	restBits := int(width-1) - used
-	eb := 0
-	ebTaken := restBits
-	if ebTaken > es {
-		ebTaken = es
-	}
-	if ebTaken > 0 {
-		eb = int(rest >> (64 - uint(ebTaken)))
-		eb <<= uint(es - ebTaken)
-		rest <<= uint(ebTaken)
-		restBits -= ebTaken
-	}
-	e := 4*k + eb
-	fbits := restBits
-	var frac uint64
-	if fbits > 0 {
-		frac = rest >> (64 - uint(fbits))
-	}
-	return math.Ldexp(float64(uint64(1)<<uint(fbits)+frac), e-fbits)
-}
-
 // upperBoundary returns the exact real boundary between the positive
 // posit p and its successor, as a float64: reals strictly below it
 // round to p (or lower), strictly above round to the successor (or
@@ -76,7 +32,7 @@ func upperBoundary(p Posit) float64 {
 	if int32(p) <= 0 {
 		panic("posit32: upperBoundary requires a positive posit")
 	}
-	return decodeExt(uint64(p)<<1|1, 33)
+	return positcodec.Boundary(uint64(p), 32)
 }
 
 // RoundingIntervalF64 returns the smallest and largest float64 values
