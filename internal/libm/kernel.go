@@ -73,8 +73,9 @@ import (
 // float32 for the public XxxSlice/EvalSlice entry points, float64 for
 // the posit and 16-bit mirrors that evaluate over exact embeddings.
 // The two instantiations have distinct gcshapes, so each gets fully
-// specialized code.
-type fpv interface{ ~float32 | ~float64 }
+// specialized code. The set is exact (no ~), so the AVX2 wrappers'
+// switch on the element type covers every instantiation.
+type fpv interface{ float32 | float64 }
 
 // roundHalfAway is math.Round, copied so it inlines into the exp
 // kernels (math.Round itself is above the inlining budget). It must
@@ -138,15 +139,45 @@ func ordNormalPositive(b uint64) bool {
 	return b-(1<<52) < (0x7ff<<52)-(1<<52)
 }
 
-// fixupSpecials re-evaluates every non-ordinary element of the batch
-// through the compiled scalar path. Cold: it runs only when the fast
-// loop's accumulated flag says at least one special input is present,
-// so ordinary-only batches never reach it.
-func fixupSpecials[T fpv](dst, xs []T, sc func(float64) float64, ord func(float64) bool) {
-	for i := range xs {
-		x := float64(xs[i])
-		if !ord(x) {
-			dst[i] = T(sc(x))
+// band is a kernel's test for ordinary inputs on a double's bits: x is
+// ordinary when (bits(x)&mask) − lo <u span, one mask, one subtract
+// and one unsigned compare. Every special input falls outside its
+// kernel's band. The exp band is conservative (it also leaves out a
+// few ordinary inputs at its edges); the others are exact. Whatever
+// falls outside is re-evaluated by the scalar path, which is correct
+// on every input, so a conservative band costs time, never bits. The
+// AVX2 lanes flag specials with the same test.
+type band struct{ mask, lo, span uint64 }
+
+// holds reports whether x lies inside the band.
+func (b band) holds(x float64) bool { return math.Float64bits(x)&b.mask-b.lo < b.span }
+
+// absBand is the exact band lo < |x| < hi, for 0 ≤ lo < hi.
+func absBand(lo, hi float64) band {
+	l := math.Float64bits(lo) + 1
+	return band{mask: 1<<63 - 1, lo: l, span: math.Float64bits(hi) - l}
+}
+
+// logBand is ordNormalPositive as a band: the log families' ordinary
+// domain, exactly.
+var logBand = band{mask: ^uint64(0), lo: 1 << 52, span: 0x7ff<<52 - 1<<52}
+
+// expBand is the exponential families' conservative band: |x| strictly
+// between the widest round-to-one bound and the nearest overflow or
+// underflow bound. NaN and ±Inf order above every finite bound.
+func expBand(fam *rangered.ExpFamily) band {
+	return absBand(max(fam.TinyHi, -fam.TinyLo), min(fam.OvfLo, -fam.UndHi))
+}
+
+// fixupSpecials re-evaluates every element of the batch outside the
+// kernel's band through the compiled scalar path. Cold: it runs only
+// when the fast loop's accumulated flag says at least one special
+// input is present, so ordinary-only batches never reach it. The band
+// test is inline, so the scan makes no call per ordinary element.
+func fixupSpecials[T fpv](dst, xs []T, sc func(float64) float64, ord band) {
+	for i, x := range xs {
+		if !ord.holds(float64(x)) {
+			dst[i] = T(sc(float64(x)))
 		}
 	}
 }
@@ -173,7 +204,6 @@ func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(f
 	minB, maxB := pt.MinBits, pt.MaxBits
 	rw := pt.RowShift
 	co := pt.Coeffs
-	ord := func(x float64) bool { return ordNormalPositive(math.Float64bits(x)) }
 	return func(dst, xs []T) {
 		bad := 0
 		for i := 0; i < len(xs); i++ {
@@ -184,14 +214,14 @@ func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(f
 			mhat := math.Float64frombits(b&(1<<52-1) | 1023<<52)
 			ep := int(b>>52) - 1023
 			j := int((mhat-1)*scale) & jmask
-			F := 1 + float64(j)*invScale
+			F := 1 + float64(float64(j)*invScale)
 			r := (mhat - F) / F
-			a := float64(ep)*lb2 + ftab[j]
+			a := float64(float64(ep)*lb2) + ftab[j]
 			c := co[int((min(max(math.Float64bits(r), minB), maxB)>>shift)&mask)<<rw:]
-			dst[i] = T(a + piecewise.QuadExact(c[0], c[1], c[2], r)*r)
+			dst[i] = T(a + float64(piecewise.QuadExact(c[0], c[1], c[2], r)*r))
 		}
 		if bad != 0 {
-			fixupSpecials(dst, xs, sc, ord)
+			fixupSpecials(dst, xs, sc, logBand)
 		}
 	}
 }
@@ -211,10 +241,7 @@ func expKernel[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) fl
 	invC, chi, clo := fam.InvC, fam.CHi, fam.CLo
 	ovfLo, undHi, tinyLo, tinyHi := fam.OvfLo, fam.UndHi, fam.TinyLo, fam.TinyHi
 	ttab := (*[64]float64)(fam.TTab)
-	// Exact complement of Special (NaN fails x > undHi).
-	ord := func(x float64) bool {
-		return x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)
-	}
+	ord := expBand(fam)
 	return func(dst, xs []T) {
 		bad := 0
 		for i := 0; i < len(xs); i++ {
@@ -223,7 +250,7 @@ func expKernel[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) fl
 				bad = 1
 			}
 			k := roundHalfAway(x * invC)
-			r := (x - k*chi) - k*clo
+			r := (x - float64(k*chi)) - float64(k*clo)
 			ki := int(k)
 			a := rangered.Exp2i(ki>>6) * ttab[ki&63]
 			c := co[int(math.Float64bits(r)>>63)<<3:]
@@ -265,13 +292,11 @@ func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table
 	}
 	d0, d1, d2 := p0.Coeffs[0], p0.Coeffs[1], p0.Coeffs[2]
 	e0, e1, e2 := p1.Coeffs[0], p1.Coeffs[1], p1.Coeffs[2]
-	// Exact complement of Special (NaN fails |x| < ovfLo).
-	ord := func(x float64) bool {
-		ax := math.Abs(x)
-		if isSinh {
-			return ax < ovfLo && x != 0
-		}
-		return ax < ovfLo && ax > tinyHi
+	// Exact complement of Special: 0 < |x| < ovfLo for sinh,
+	// tinyHi < |x| < ovfLo for cosh.
+	ord := absBand(tinyHi, ovfLo)
+	if isSinh {
+		ord = absBand(0, ovfLo)
 	}
 	return func(dst, xs []T) {
 		bad := 0
@@ -282,20 +307,20 @@ func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table
 				bad = 1
 			}
 			k := math.Floor(y * invC)
-			r := (y - k*chi) - k*clo
+			r := (y - float64(k*chi)) - float64(k*clo)
 			ki := int(k)
 			m := ki >> 6
 			e := rangered.Exp2i(m)
 			ei := rangered.Exp2i(-m)
-			p := (e + pS*ei) * 0.5
-			q := (e + qS*ei) * 0.5
+			p := (e + float64(pS*ei)) * 0.5
+			q := (e + float64(qS*ei)) * 0.5
 			j := ki & 63
-			a := p*ct[j] + q*st[j]
-			b := p*st[j] + q*ct[j]
+			a := float64(p*ct[j]) + float64(q*st[j])
+			b := float64(p*st[j]) + float64(q*ct[j])
 			r2 := r * r
 			v0 := piecewise.QuadExact(d0, d1, d2, r2) * r
 			v1 := piecewise.QuadExact(e0, e1, e2, r2)
-			z := a*v1 + b*v0
+			z := float64(a*v1) + float64(b*v0)
 			dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ (signbit64(x) & sgnMask)))
 		}
 		if bad != 0 {
@@ -320,11 +345,7 @@ func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc f
 	tinyHi, hugeLo := fam.TinyHi, fam.HugeLo
 	d0, d1, d2 := p0.Coeffs[0], p0.Coeffs[1], p0.Coeffs[2]
 	e0, e1, e2 := p1.Coeffs[0], p1.Coeffs[1], p1.Coeffs[2]
-	// Exact complement of Special (NaN and ±Inf fail ax < hugeLo).
-	ord := func(x float64) bool {
-		ax := math.Abs(x)
-		return ax > tinyHi && ax < hugeLo
-	}
+	ord := absBand(tinyHi, hugeLo) // exact complement of Special
 	return func(dst, xs []T) {
 		bad := 0
 		for i := 0; i < len(xs); i++ {
@@ -340,12 +361,12 @@ func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc f
 			sgn ^= uint64(int64(t)) << 63
 			j = blend64(j, 1-j, gtMask(j, 0.5))
 			n := min(max(int(j*512), 0), 255)
-			r := j - float64(n)*0x1p-9
+			r := j - float64(float64(n)*0x1p-9)
 			a, b := sinT[n], cosT[n]
 			r2 := r * r
 			v0 := piecewise.QuadExact(d0, d1, d2, r2) * r
 			v1 := piecewise.QuadExact(e0, e1, e2, r2)
-			z := a*v1 + b*v0
+			z := float64(a*v1) + float64(b*v0)
 			dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ sgn))
 		}
 		if bad != 0 {
@@ -368,11 +389,7 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 	tinyHi, hugeLo := fam.TinyHi, fam.HugeLo
 	d0, d1, d2 := p0.Coeffs[0], p0.Coeffs[1], p0.Coeffs[2]
 	e0, e1, e2 := p1.Coeffs[0], p1.Coeffs[1], p1.Coeffs[2]
-	// Exact complement of Special (NaN and ±Inf fail ax < hugeLo).
-	ord := func(x float64) bool {
-		ax := math.Abs(x)
-		return ax > tinyHi && ax < hugeLo
-	}
+	ord := absBand(tinyHi, hugeLo) // exact complement of Special
 	return func(dst, xs []T) {
 		bad := 0
 		for i := 0; i < len(xs); i++ {
@@ -389,7 +406,7 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 			sgn ^= m & (1 << 63)
 			j = blend64(j, 1-j, m)
 			n := min(max(int(j*512), 0), 255)
-			q := j - float64(n)*0x1p-9
+			q := j - float64(float64(n)*0x1p-9)
 			mnz := uint64(int64(-n) >> 63) // all-ones iff n > 0
 			idx := int(uint64(n+1) & mnz)
 			r := blend64(q, 0x1p-9-q, mnz)
@@ -397,7 +414,7 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 			r2 := r * r
 			v0 := piecewise.QuadExact(d0, d1, d2, r2) * r
 			v1 := piecewise.QuadExact(e0, e1, e2, r2)
-			z := a*v1 + b*v0
+			z := float64(a*v1) + float64(b*v0)
 			dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ sgn))
 		}
 		if bad != 0 {
@@ -511,13 +528,15 @@ func fusedSlice[T fpv](f *impl) func(dst, xs []T) {
 	panic("libm: KernelShape accepted a family with no kernel")
 }
 
-// fusedSlice32 is fusedSlice[float32] plus the one float32-only
-// upgrade: on AVX2 hardware the exp and log families' kernels are
-// replaced by the vector implementations (simd_amd64.go), which keep
+// servedSlice is the batch kernel the library serves for f at T's
+// width: fusedSlice[T] plus the AVX2 upgrade. On AVX2 hardware the exp
+// and log families' kernels are replaced by the vector lanes of
+// simd_amd64.go — one lane body in doubles, with a widening load and
+// narrowing store for float32 and plain moves for float64 — which keep
 // the pure-Go kernel for the n%4 tail. Other architectures and the
-// other families get the generic kernel unchanged.
-func fusedSlice32(f *impl) func(dst, xs []float32) {
-	k := fusedSlice[float32](f)
+// other families get the pure-Go kernel unchanged.
+func servedSlice[T fpv](f *impl) func(dst, xs []T) {
+	k := fusedSlice[T](f)
 	switch fam := f.fam.(type) {
 	case *rangered.ExpFamily:
 		p := f.pieces[0]

@@ -1,7 +1,6 @@
 package libm
 
 import (
-	"math"
 	"testing"
 )
 
@@ -16,32 +15,44 @@ func benchInputs(n int) []float32 {
 	return xs
 }
 
-// BenchmarkKernelExp pits the pure-Go fused exp kernel against the
-// AVX2 one it is upgraded to where the CPU allows, same process, same
-// inputs.
-func BenchmarkKernelExp(b *testing.B) {
-	xs := benchInputs(1024)
-	dst := make([]float32, 1024)
-	var f *impl
-	for _, g := range float32Impls {
-		if g.name == "exp" {
-			f = g
+// findImpl returns the variant's generated function name, or fails b.
+func findImpl(b *testing.B, variant, name string) *impl {
+	for _, f := range implsFor(variant) {
+		if f.name == name {
+			return f
 		}
 	}
-	if f == nil {
-		b.Fatal("no exp impl")
+	b.Fatalf("no %s %s impl", variant, name)
+	return nil
+}
+
+// benchKernel times k over xs as one sub-benchmark reporting ns/value.
+func benchKernel[T fpv](b *testing.B, name string, k func(dst, xs []T), xs []T) {
+	dst := make([]T, len(xs))
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k(dst, xs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/value")
+	})
+}
+
+// BenchmarkKernelExp pits the pure-Go fused exp kernel against the
+// AVX2 one it is upgraded to where the CPU allows, same process, same
+// inputs, at both element widths: float32 (the float32 library) and
+// float64 (posit32's exp over the same values, as positmath serves it).
+func BenchmarkKernelExp(b *testing.B) {
+	xs := benchInputs(1024)
+	xs64 := make([]float64, len(xs))
+	for i, x := range xs {
+		xs64[i] = float64(x)
 	}
-	run := func(name string, k func(dst, xs []float32)) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k(dst, xs)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/value")
-		})
-	}
-	run("go", fusedSlice[float32](f))
+	f32 := findImpl(b, VariantFloat32, "exp")
+	p32 := findImpl(b, VariantPosit32, "exp")
+	benchKernel(b, "float32/go", fusedSlice[float32](f32), xs)
+	benchKernel(b, "float64/go", fusedSlice[float64](p32), xs64)
 	if simdAVX2 {
-		run("simd", fusedSlice32(f))
+		benchKernel(b, "float32/simd", servedSlice[float32](f32), xs)
+		benchKernel(b, "float64/simd", servedSlice[float64](p32), xs64)
 	}
-	_ = math.Float32bits(dst[0])
 }

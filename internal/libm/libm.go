@@ -82,7 +82,7 @@ func compile(f *impl) func(float64) float64 {
 				return y
 			}
 			r, c := fam.Reduce(x)
-			return c.S * (c.A*p1.Eval(r) + c.B*p0.Eval(r))
+			return c.S * (float64(c.A*p1.Eval(r)) + float64(c.B*p0.Eval(r)))
 		}
 	case *rangered.SinPiFamily:
 		p0, p1 := f.pieces[0], f.pieces[1]
@@ -91,7 +91,7 @@ func compile(f *impl) func(float64) float64 {
 				return y
 			}
 			r, c := fam.Reduce(x)
-			return c.S * (c.A*p1.Eval(r) + c.B*p0.Eval(r))
+			return c.S * (float64(c.A*p1.Eval(r)) + float64(c.B*p0.Eval(r)))
 		}
 	case *rangered.CosPiFamily:
 		p0, p1 := f.pieces[0], f.pieces[1]
@@ -100,22 +100,23 @@ func compile(f *impl) func(float64) float64 {
 				return y
 			}
 			r, c := fam.Reduce(x)
-			return c.S * (c.A*p1.Eval(r) + c.B*p0.Eval(r))
+			return c.S * (float64(c.A*p1.Eval(r)) + float64(c.B*p0.Eval(r)))
 		}
 	}
 	return f.eval
 }
 
 // Float32SliceImpls returns the generated float32 batch evaluators
-// keyed by function name: the fused kernels of kernel.go, bit-identical
-// to the scalar path. Each writes f(xs[i]) into dst[i] for every
-// element of xs. Contract: a zero-length xs is a no-op; if dst is
-// shorter than xs the call panics up front, before any element of dst
-// is written (never mid-batch with a partial result).
+// keyed by function name: the fused kernels of kernel.go (the AVX2
+// lanes for the exp and log families where the CPU has them),
+// bit-identical to the scalar path. Each writes f(xs[i]) into dst[i]
+// for every element of xs. Contract: a zero-length xs is a no-op; if
+// dst is shorter than xs the call panics up front, before any element
+// of dst is written (never mid-batch with a partial result).
 func Float32SliceImpls() map[string]func(dst, xs []float32) {
 	out := make(map[string]func(dst, xs []float32), len(float32Impls))
 	for _, f := range float32Impls {
-		k := fusedSlice32(f)
+		k := servedSlice[float32](f)
 		out[f.name] = func(dst, xs []float32) {
 			if len(xs) == 0 {
 				return
@@ -129,12 +130,16 @@ func Float32SliceImpls() map[string]func(dst, xs []float32) {
 
 // Posit32SliceImpls returns the generated posit32 batch evaluators
 // over exact float64 embeddings (the posit32/positmath package wraps
-// them with encoding conversions). The dst/xs length contract matches
-// Float32SliceImpls: len-0 no-op, up-front panic on short dst.
+// them with encoding conversions): the kernels Float32SliceImpls
+// serves, at float64 width. The exp and log families run on the same
+// AVX2 lanes as float32, with double loads and stores, where the CPU
+// has them, and on the pure-Go kernels elsewhere. The dst/xs length
+// contract matches Float32SliceImpls: len-0 no-op, up-front panic on
+// short dst.
 func Posit32SliceImpls() map[string]func(dst, xs []float64) {
 	out := make(map[string]func(dst, xs []float64), len(posit32Impls))
 	for _, f := range posit32Impls {
-		k := fusedSlice[float64](f)
+		k := servedSlice[float64](f)
 		out[f.name] = func(dst, xs []float64) {
 			if len(xs) == 0 {
 				return

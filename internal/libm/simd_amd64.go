@@ -9,34 +9,42 @@ import (
 	"rlibm32/internal/rangered"
 )
 
-// AVX2 batch kernel for the exponential families' float32 path: the
-// one place the pure-Go kernels leave large factors on the table,
-// because the whole lane — guard, round-half-away, Cody–Waite, table
-// scaling, per-sign polynomial — is data-parallel and fits in 4-wide
-// vector registers. The assembly follows kernel.go's exp lane step for
-// step; see simd_amd64.s. Per-lane semantics are bit-identical:
+// AVX2 batch kernels for the exponential and log families: the one
+// place the pure-Go kernels leave large factors on the table, because
+// the whole lane — guard, round-half-away, Cody–Waite, table scaling,
+// per-sign polynomial — is data-parallel and fits in 4-wide vector
+// registers. The assembly follows kernel.go's exp and log lanes step
+// for step; see simd_amd64.s. Per-lane semantics are bit-identical:
 // VMULPD/VADDPD/VSUBPD are IEEE double mul/add/sub exactly like their
 // scalar Go counterparts, and the per-sign coefficient pick is a
 // VBLENDVPD on r's sign bit instead of the scalar row index — same
-// coefficients, same arithmetic, same result to the last bit. The
-// parity sweep (parity_test.go) drives this path against the scalar
+// coefficients, same arithmetic, same result to the last bit.
+//
+// Each family has one lane body in doubles and two entry points around
+// it: the float32 one widens its loads and narrows its stores (the
+// float32 library), the float64 one moves doubles unchanged (posit32
+// and the 16-bit formats over their exact float64 embeddings). The
+// parity sweeps (parity_test.go) drive both against the scalar
 // evaluator like any other kernel.
 //
-// Special-case inputs are flagged conservatively (one unsigned
-// integer band compare on |x|'s bits — anything outside
-// (tinyBand, overflowBand) is flagged, which over-triggers near the
-// band edges but never misses) and repaired by the shared fixup pass;
-// the vector lane itself is total for arbitrary bit patterns
-// (VCVTTPD2DQ saturates, table indices are masked to [0, 63]).
+// Special-case inputs are flagged conservatively by the kernel's band
+// (one unsigned integer compare on the input's bits; the exp band
+// over-triggers near its edges but never misses) and repaired by the
+// shared fixup pass; the vector lane itself is total for arbitrary bit
+// patterns (VCVTTPD2DQ saturates, table indices are masked to range).
 
 // cpuidex and xgetbv0 are implemented in simd_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// expAVX2Exact evaluates n elements (n % 4 == 0, n > 0) of the exp
-// lane with the validated Horner polynomial core. The return value is
-// nonzero iff any input was flagged (conservatively) as special.
+// expAVX2Exact evaluates n float32 elements (n % 4 == 0, n > 0) of the
+// exp lane with the validated Horner polynomial core. The return value
+// is nonzero iff any input was flagged (conservatively) as special.
 func expAVX2Exact(dst, xs *float32, n int, c *expAsmConsts) (bad int)
+
+// expAVX2Exact64 is expAVX2Exact over float64 elements: the same lane
+// without the widening load and narrowing store.
+func expAVX2Exact64(dst, xs *float64, n int, c *expAsmConsts) (bad int)
 
 // expAsmConsts is the constant block the assembly kernels broadcast
 // from. Field order and offsets are hard-coded in simd_amd64.s —
@@ -65,6 +73,9 @@ type expAsmConsts struct {
 // logAVX2Exact is the log-family counterpart of expAVX2Exact (same
 // n % 4 == 0 contract, same conservative flag return).
 func logAVX2Exact(dst, xs *float32, n int, c *logAsmConsts) (bad int)
+
+// logAVX2Exact64 is logAVX2Exact over float64 elements.
+func logAVX2Exact64(dst, xs *float64, n int, c *logAsmConsts) (bad int)
 
 // logAsmConsts is the log kernels' constant block; same append-only
 // offset contract as expAsmConsts.
@@ -112,14 +123,38 @@ func probeAVX2() bool {
 	return b7&(1<<5) != 0
 }
 
-// simdLogSlice builds the AVX2 float32 batch evaluator for a log
-// family, or returns nil when the hardware can't run it. The exponent
+// expAVX2 runs the exp lane over xs (len(xs) a positive multiple of 4)
+// at T's width.
+func expAVX2[T fpv](dst, xs []T, c *expAsmConsts) (bad int) {
+	switch d := any(&dst[0]).(type) {
+	case *float32:
+		return expAVX2Exact(d, any(&xs[0]).(*float32), len(xs), c)
+	case *float64:
+		return expAVX2Exact64(d, any(&xs[0]).(*float64), len(xs), c)
+	}
+	panic("libm: no AVX2 exp lane for this element type")
+}
+
+// logAVX2 runs the log lane over xs (len(xs) a positive multiple of 4)
+// at T's width.
+func logAVX2[T fpv](dst, xs []T, c *logAsmConsts) (bad int) {
+	switch d := any(&dst[0]).(type) {
+	case *float32:
+		return logAVX2Exact(d, any(&xs[0]).(*float32), len(xs), c)
+	case *float64:
+		return logAVX2Exact64(d, any(&xs[0]).(*float64), len(xs), c)
+	}
+	panic("libm: no AVX2 log lane for this element type")
+}
+
+// simdLogSlice builds the AVX2 batch evaluator for a log family at T's
+// width, or returns nil when the hardware can't run it. The exponent
 // is extracted as a double with the classic 2^52 bias trick instead of
 // an int64→double conversion (which AVX2 lacks); the result is exact
 // for the whole ordinary range. m̂ ∈ [1,2) holds for every bit
 // pattern, so r ≥ 0 on all lanes and the assembly's signed clamps
 // agree with the scalar kernel's unsigned ones everywhere.
-func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, goKern func(dst, xs []float32)) func(dst, xs []float32) {
+func simdLogSlice[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, goKern func(dst, xs []T)) func(dst, xs []T) {
 	if !simdAVX2 {
 		return nil
 	}
@@ -128,8 +163,8 @@ func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float
 		scale:    float64(int(1) << tb),
 		invScale: math.Float64frombits(uint64(1023-tb) << 52),
 		lb2:      fam.Scale,
-		lo:       1 << 52,
-		spanB:    ((0x7ff << 52) - (1 << 52)) ^ (1 << 63),
+		lo:       logBand.lo,
+		spanB:    logBand.span ^ (1 << 63),
 		sign:     1 << 63,
 		mant:     1<<52 - 1,
 		exp0:     1023 << 52,
@@ -145,13 +180,10 @@ func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float
 		ftab:     &fam.FTab[0],
 		co:       &pt.Coeffs[0],
 	}
-	ord := func(x float64) bool { return ordNormalPositive(math.Float64bits(x)) }
-	return func(dst, xs []float32) {
+	return func(dst, xs []T) {
 		n4 := len(xs) &^ 3
-		if n4 > 0 {
-			if bad := logAVX2Exact(&dst[0], &xs[0], n4, c); bad != 0 {
-				fixupSpecials(dst[:n4], xs[:n4], sc, ord)
-			}
+		if n4 > 0 && logAVX2(dst[:n4], xs[:n4], c) != 0 {
+			fixupSpecials(dst[:n4], xs[:n4], sc, logBand)
 		}
 		if n4 < len(xs) {
 			goKern(dst[n4:], xs[n4:])
@@ -159,29 +191,24 @@ func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float
 	}
 }
 
-// simdExpSlice builds the AVX2 float32 batch evaluator for an
-// exponential family, or returns nil when the hardware can't run it
+// simdExpSlice builds the AVX2 batch evaluator for an exponential
+// family at T's width, or returns nil when the hardware can't run it
 // (the caller falls back to the pure-Go kernel, which is also used
 // here for the n%4 tail). goKern must be the pure-Go kernel for the
 // same family.
-func simdExpSlice(fam *rangered.ExpFamily, co []float64, sc func(float64) float64, goKern func(dst, xs []float32)) func(dst, xs []float32) {
+func simdExpSlice[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) float64, goKern func(dst, xs []T)) func(dst, xs []T) {
 	if !simdAVX2 {
 		return nil
 	}
-	// Conservative ordinary band on |x| bits: everything at or below
-	// the widest tiny bound, and everything at or above the nearest
-	// overflow/underflow bound, is flagged for the fixup pass. NaN and
-	// ±Inf order above every finite bound.
-	tinyMax := max(math.Float64bits(fam.TinyHi), math.Float64bits(-fam.TinyLo))
-	ovfMin := min(math.Float64bits(fam.OvfLo), math.Float64bits(-fam.UndHi))
+	ord := expBand(fam)
 	c := &expAsmConsts{
 		invC:  fam.InvC,
 		chi:   fam.CHi,
 		clo:   fam.CLo,
-		lo:    tinyMax + 1,
-		spanB: (ovfMin - tinyMax - 1) ^ (1 << 63),
+		lo:    ord.lo,
+		spanB: ord.span ^ (1 << 63),
 		sign:  1 << 63,
-		abs:   ^uint64(1 << 63),
+		abs:   ord.mask,
 		k7ff:  0x7ff,
 		k1023: 1023,
 		k1022: 1022,
@@ -194,16 +221,10 @@ func simdExpSlice(fam *rangered.ExpFamily, co []float64, sc func(float64) float6
 	}
 	copy(c.cPos[:], co[0:5])
 	copy(c.cNeg[:], co[8:13])
-	undHi, ovfLo, tinyLo, tinyHi := fam.UndHi, fam.OvfLo, fam.TinyLo, fam.TinyHi
-	ord := func(x float64) bool {
-		return x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)
-	}
-	return func(dst, xs []float32) {
+	return func(dst, xs []T) {
 		n4 := len(xs) &^ 3
-		if n4 > 0 {
-			if bad := expAVX2Exact(&dst[0], &xs[0], n4, c); bad != 0 {
-				fixupSpecials(dst[:n4], xs[:n4], sc, ord)
-			}
+		if n4 > 0 && expAVX2(dst[:n4], xs[:n4], c) != 0 {
+			fixupSpecials(dst[:n4], xs[:n4], sc, ord)
 		}
 		if n4 < len(xs) {
 			goKern(dst[n4:], xs[n4:])

@@ -1,5 +1,12 @@
-// AVX2 batch kernels for the exponential families (see simd_amd64.go
-// for the contract). Go assembler operand order is Intel reversed:
+// AVX2 batch kernels for the exponential and log families (see
+// simd_amd64.go for the contract). Each family has one lane body,
+// EXP_LANE or LOG_LANE, that maps 4 doubles in Y0 to 4 doubles; the
+// entry points wrap it in one of two load/store forms:
+//   float32 (expAVX2Exact, logAVX2Exact): LOAD_F32 widens 4 floats
+//     with VCVTPS2PD, STORE_F32 narrows with VCVTPD2PS, steps of 16;
+//   float64 (expAVX2Exact64, logAVX2Exact64): LOAD_F64 / STORE_F64
+//     move 4 doubles with VMOVUPD, steps of 32.
+// Go assembler operand order is Intel reversed:
 // OP src2, src1, dst. VBLENDVPD selects src2 where the mask lane's
 // bit 63 is set, which lets r itself (register Y2) serve as the
 // per-sign coefficient row selector — identical semantics to the
@@ -43,12 +50,41 @@
 	VPBROADCASTQ C_ABS(R9), Y15   \
 	VPCMPEQQ Y14, Y14, Y14
 
-// Per-iteration front half: widen 4 floats (Y0 = x), conservative special guard into Y14,
-// k = roundHalfAway(x·invC) (Y1), r = (x−k·chi)−k·clo (Y2),
-// a = 2^(ki>>6)·ttab[ki&63] (Y3).
-#define EXP_LANE_FRONT \
+// Loads of 4 inputs into Y0, and stores of 4 results from the named
+// register that advance SI/DI and count CX down by 4 (flags from SUBQ
+// feed the loop's JNZ). STORE_F32 takes the Y register and its X half.
+#define LOAD_F32 \
 	VMOVUPS (SI), X0              \
-	VCVTPS2PD X0, Y0              \
+	VCVTPS2PD X0, Y0
+
+#define STORE_F32(Y, X) \
+	VCVTPD2PSY Y, X               \
+	VMOVUPS X, (DI)               \
+	ADDQ $16, SI                  \
+	ADDQ $16, DI                  \
+	SUBQ $4, CX
+
+#define LOAD_F64 \
+	VMOVUPD (SI), Y0
+
+#define STORE_F64(Y) \
+	VMOVUPD Y, (DI)               \
+	ADDQ $32, SI                  \
+	ADDQ $32, DI                  \
+	SUBQ $4, CX
+
+// Broadcast cPos[i]/cNeg[i] and blend on r's sign bit into dst.
+#define COEFF(POS, NEG, TMP, dst) \
+	VBROADCASTSD POS(R9), dst     \
+	VBROADCASTSD NEG(R9), TMP     \
+	VBLENDVPD Y2, TMP, dst, dst
+
+// The exp lane, x in Y0 to out in Y7: conservative special guard into
+// Y14, k = roundHalfAway(x·invC) (Y1), r = (x−k·chi)−k·clo (Y2),
+// a = 2^(ki>>6)·ttab[ki&63] (Y3), the validated Horner sequence
+// p = (((c4·r+c3)·r+c2)·r+c1)·r+c0 in plain VMULPD/VADDPD — per-lane
+// bit-identical to piecewise.Dense5Exact — and out = a·p.
+#define EXP_LANE \
 	VPAND Y15, Y0, Y4             \
 	VPBROADCASTQ C_LO(R9), Y5     \
 	VPSUBQ Y5, Y4, Y4             \
@@ -94,22 +130,21 @@
 	VPMOVSXDQ X4, Y4              \
 	VPCMPEQQ Y6, Y6, Y6           \
 	VGATHERQPD Y6, (R8)(Y4*8), Y3 \
-	VMULPD Y3, Y5, Y3
-
-// Per-iteration back half: out = a·p (Y3·Y7), narrow, store, advance.
-#define EXP_LANE_BACK \
-	VMULPD Y7, Y3, Y7             \
-	VCVTPD2PSY Y7, X7             \
-	VMOVUPS X7, (DI)              \
-	ADDQ $16, SI                  \
-	ADDQ $16, DI                  \
-	SUBQ $4, CX
-
-// Broadcast cPos[i]/cNeg[i] and blend on r's sign bit into dst.
-#define COEFF(POS, NEG, TMP, dst) \
-	VBROADCASTSD POS(R9), dst     \
-	VBROADCASTSD NEG(R9), TMP     \
-	VBLENDVPD Y2, TMP, dst, dst
+	VMULPD Y3, Y5, Y3             \
+	COEFF(C_CPOS+32, C_CNEG+32, Y5, Y7) \
+	VMULPD Y2, Y7, Y7             \
+	COEFF(C_CPOS+24, C_CNEG+24, Y5, Y4) \
+	VADDPD Y4, Y7, Y7             \
+	VMULPD Y2, Y7, Y7             \
+	COEFF(C_CPOS+16, C_CNEG+16, Y5, Y4) \
+	VADDPD Y4, Y7, Y7             \
+	VMULPD Y2, Y7, Y7             \
+	COEFF(C_CPOS+8, C_CNEG+8, Y5, Y4) \
+	VADDPD Y4, Y7, Y7             \
+	VMULPD Y2, Y7, Y7             \
+	COEFF(C_CPOS+0, C_CNEG+0, Y5, Y4) \
+	VADDPD Y4, Y7, Y7             \
+	VMULPD Y7, Y3, Y7
 
 // Shared epilogue: bad = (good != all lanes).
 #define EXP_EPILOGUE \
@@ -120,29 +155,23 @@
 	RET
 
 // func expAVX2Exact(dst, xs *float32, n int, c *expAsmConsts) (bad int)
-//
-// Polynomial core: the validated Horner sequence
-// (((c4·r+c3)·r+c2)·r+c1)·r+c0 in plain VMULPD/VADDPD — per-lane
-// bit-identical to piecewise.Dense5Exact.
 TEXT ·expAVX2Exact(SB), NOSPLIT, $0-40
 	EXP_PROLOGUE
 exactloop:
-	EXP_LANE_FRONT
-	COEFF(C_CPOS+32, C_CNEG+32, Y5, Y7)
-	VMULPD Y2, Y7, Y7
-	COEFF(C_CPOS+24, C_CNEG+24, Y5, Y4)
-	VADDPD Y4, Y7, Y7
-	VMULPD Y2, Y7, Y7
-	COEFF(C_CPOS+16, C_CNEG+16, Y5, Y4)
-	VADDPD Y4, Y7, Y7
-	VMULPD Y2, Y7, Y7
-	COEFF(C_CPOS+8, C_CNEG+8, Y5, Y4)
-	VADDPD Y4, Y7, Y7
-	VMULPD Y2, Y7, Y7
-	COEFF(C_CPOS+0, C_CNEG+0, Y5, Y4)
-	VADDPD Y4, Y7, Y7
-	EXP_LANE_BACK
+	LOAD_F32
+	EXP_LANE
+	STORE_F32(Y7, X7)
 	JNZ exactloop
+	EXP_EPILOGUE
+
+// func expAVX2Exact64(dst, xs *float64, n int, c *expAsmConsts) (bad int)
+TEXT ·expAVX2Exact64(SB), NOSPLIT, $0-40
+	EXP_PROLOGUE
+exact64loop:
+	LOAD_F64
+	EXP_LANE
+	STORE_F64(Y7)
+	JNZ exact64loop
 	EXP_EPILOGUE
 
 // logAsmConsts field offsets (simd_amd64.go — append-only struct).
@@ -182,15 +211,16 @@ exactloop:
 	VBROADCASTSD L_MSUB(R9), Y15  \
 	VPCMPEQQ Y14, Y14, Y14
 
-// Per-iteration front half: widen 4 floats (Y0 = x), guard into Y14
-// (ordinary = positive normal double), Tang reduction:
+// The log lane, x in Y0 to out in Y4: guard into Y14 (ordinary =
+// positive normal double), Tang reduction:
 // m̂ = (bits&mant)|2^0 exponent (Y1), exponent as a double via the
 // 2^52 bias trick, j = int((m̂−1)·scale)&jmask, F = 1 + j·invScale,
 // r = (m̂−F)/F (Y2), a = ep·lb2 + ftab[j] (Y3), coefficient row
-// gathered into Y7/Y12/Y13 via the scalar kernel's clamp+shift index.
-#define LOG_LANE_FRONT \
-	VMOVUPS (SI), X0              \
-	VCVTPS2PD X0, Y0              \
+// gathered into Y7/Y12/Y13 via the scalar kernel's clamp+shift index,
+// q = (c2·r+c1)·r+c0 in plain VMULPD/VADDPD — per-lane bit-identical
+// to piecewise.QuadExact — and the scalar kernel's a + q·r
+// compensation.
+#define LOG_LANE \
 	VPBROADCASTQ L_LO(R9), Y5     \
 	VPSUBQ Y5, Y0, Y4             \
 	VPXOR Y11, Y4, Y4             \
@@ -239,34 +269,32 @@ exactloop:
 	VPCMPEQQ Y5, Y5, Y5           \
 	VGATHERQPD Y5, 8(R10)(Y6*8), Y12 \
 	VPCMPEQQ Y5, Y5, Y5           \
-	VGATHERQPD Y5, 16(R10)(Y6*8), Y13
-
-// Per-iteration back half: out = a + q·r (q in Y4), narrow, store,
-// advance.
-#define LOG_LANE_BACK \
+	VGATHERQPD Y5, 16(R10)(Y6*8), Y13 \
+	VMULPD Y2, Y13, Y4            \
+	VADDPD Y12, Y4, Y4            \
 	VMULPD Y2, Y4, Y4             \
-	VADDPD Y4, Y3, Y4             \
-	VCVTPD2PSY Y4, X4             \
-	VMOVUPS X4, (DI)              \
-	ADDQ $16, SI                  \
-	ADDQ $16, DI                  \
-	SUBQ $4, CX
+	VADDPD Y7, Y4, Y4             \
+	VMULPD Y2, Y4, Y4             \
+	VADDPD Y4, Y3, Y4
 
 // func logAVX2Exact(dst, xs *float32, n int, c *logAsmConsts) (bad int)
-//
-// Polynomial core: q = (c2·r+c1)·r+c0 in plain VMULPD/VADDPD —
-// per-lane bit-identical to piecewise.QuadExact, followed by the
-// scalar kernel's a + q·r compensation.
 TEXT ·logAVX2Exact(SB), NOSPLIT, $0-40
 	LOG_PROLOGUE
 lexactloop:
-	LOG_LANE_FRONT
-	VMULPD Y2, Y13, Y4
-	VADDPD Y12, Y4, Y4
-	VMULPD Y2, Y4, Y4
-	VADDPD Y7, Y4, Y4
-	LOG_LANE_BACK
+	LOAD_F32
+	LOG_LANE
+	STORE_F32(Y4, X4)
 	JNZ lexactloop
+	EXP_EPILOGUE
+
+// func logAVX2Exact64(dst, xs *float64, n int, c *logAsmConsts) (bad int)
+TEXT ·logAVX2Exact64(SB), NOSPLIT, $0-40
+	LOG_PROLOGUE
+lexact64loop:
+	LOAD_F64
+	LOG_LANE
+	STORE_F64(Y4)
+	JNZ lexact64loop
 	EXP_EPILOGUE
 
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -87,55 +87,59 @@ func KindOf(terms []int) Kind {
 // polynomials through this function, so the numerical error it commits
 // is exactly the error the shipped library commits.
 func EvalPoly(kind Kind, terms []int, coeffs []float64, x float64) float64 {
+	// Products are written float64(a*b) so no compiler fuses a Horner
+	// step into one multiply-add (see QuadExact).
 	switch kind {
 	case Dense:
 		// Unrolled fast paths preserve the exact Horner operation order
 		// of the generic loop, so results are bit-identical.
 		switch len(coeffs) {
 		case 5:
-			return (((coeffs[4]*x+coeffs[3])*x+coeffs[2])*x+coeffs[1])*x + coeffs[0]
+			return Dense5Exact(coeffs[0], coeffs[1], coeffs[2], coeffs[3], coeffs[4], x)
 		case 4:
-			return ((coeffs[3]*x+coeffs[2])*x+coeffs[1])*x + coeffs[0]
+			p := float64(coeffs[3]*x) + coeffs[2]
+			p = float64(p*x) + coeffs[1]
+			return float64(p*x) + coeffs[0]
 		}
 		acc := coeffs[len(coeffs)-1]
 		for i := len(coeffs) - 2; i >= 0; i-- {
-			acc = acc*x + coeffs[i]
+			acc = float64(acc*x) + coeffs[i]
 		}
 		return acc
 	case Odd:
 		x2 := x * x
 		if len(coeffs) == 3 {
-			return ((coeffs[2]*x2+coeffs[1])*x2 + coeffs[0]) * x
+			return QuadExact(coeffs[0], coeffs[1], coeffs[2], x2) * x
 		}
 		acc := coeffs[len(coeffs)-1]
 		for i := len(coeffs) - 2; i >= 0; i-- {
-			acc = acc*x2 + coeffs[i]
+			acc = float64(acc*x2) + coeffs[i]
 		}
 		return acc * x
 	case Even:
 		x2 := x * x
 		if len(coeffs) == 3 {
-			return (coeffs[2]*x2+coeffs[1])*x2 + coeffs[0]
+			return QuadExact(coeffs[0], coeffs[1], coeffs[2], x2)
 		}
 		acc := coeffs[len(coeffs)-1]
 		for i := len(coeffs) - 2; i >= 0; i-- {
-			acc = acc*x2 + coeffs[i]
+			acc = float64(acc*x2) + coeffs[i]
 		}
 		return acc
 	case NoConst:
 		if len(coeffs) == 3 {
-			return ((coeffs[2]*x+coeffs[1])*x + coeffs[0]) * x
+			return QuadExact(coeffs[0], coeffs[1], coeffs[2], x) * x
 		}
 		acc := coeffs[len(coeffs)-1]
 		for i := len(coeffs) - 2; i >= 0; i-- {
-			acc = acc*x + coeffs[i]
+			acc = float64(acc*x) + coeffs[i]
 		}
 		return acc * x
 	}
 	// Sparse: explicit powers.
 	v := 0.0
 	for i, e := range terms {
-		v += coeffs[i] * math.Pow(x, float64(e))
+		v += float64(coeffs[i] * math.Pow(x, float64(e)))
 	}
 	return v
 }

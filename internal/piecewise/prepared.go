@@ -76,22 +76,33 @@ func (t *Table) Prepare() *Prepared {
 // three-coefficient quadratic Q(y) = c0 + c1·y + c2·y² (the NoConst,
 // Odd and Even kinds evaluate Q at y = x or y = x² and multiply by x
 // as needed) and a five-coefficient dense quartic (the exponential
-// families). The batch kernels evaluate them through the two functions
-// below, which repeat token for token the Horner sequence EvalPoly
-// runs and the generator validated: the reduced rounding intervals
-// absorbed exactly those errors, so kernel results are bit-identical
-// to the scalar library by construction.
+// families). EvalPoly and the batch kernels both evaluate them through
+// the two functions below, the Horner sequence the generator
+// validated: the reduced rounding intervals absorbed exactly those
+// errors, so kernel results are bit-identical to the scalar library by
+// construction.
+//
+// Every product in these sequences is written float64(a*b). The Go
+// spec lets a compiler fuse x*y + z into one fused multiply-add, and
+// arm64, ppc64le, s390x and riscv64 do; the explicit conversion is the
+// spec's barrier against it. A fused step skips the product's rounding
+// and can move a correctly rounded result. amd64 never contracts, so
+// there the conversions compile to nothing.
 
 // QuadExact evaluates c0 + c1·y + c2·y² with the validated Horner
 // sequence: (c2·y + c1)·y + c0.
 func QuadExact(c0, c1, c2, y float64) float64 {
-	return (c2*y+c1)*y + c0
+	p := float64(c2*y) + c1
+	return float64(p*y) + c0
 }
 
 // Dense5Exact evaluates the dense quartic with the validated Horner
-// sequence.
+// sequence (((c4·r + c3)·r + c2)·r + c1)·r + c0.
 func Dense5Exact(c0, c1, c2, c3, c4, r float64) float64 {
-	return (((c4*r+c3)*r+c2)*r+c1)*r + c0
+	p := float64(c4*r) + c3
+	p = float64(p*r) + c2
+	p = float64(p*r) + c1
+	return float64(p*r) + c0
 }
 
 // Row returns the padded coefficient row for a reduced input r, keyed

@@ -68,7 +68,7 @@ func (f *ExpFamily) Special(x float64) (float64, bool) {
 // Reduce implements Family.
 func (f *ExpFamily) Reduce(x float64) (float64, Ctx) {
 	k := math.Round(x * f.InvC)
-	r := (x - k*f.CHi) - k*f.CLo
+	r := (x - float64(k*f.CHi)) - float64(k*f.CLo)
 	ki := int(k)
 	m := ki >> 6
 	j := ki - (m << 6) // j = k mod 64 ∈ [0, 64)

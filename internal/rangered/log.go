@@ -101,11 +101,12 @@ func (f *LogFamily) Reduce(x float64) (float64, Ctx) {
 	scale := float64(int(1) << tb)
 	invScale := math.Float64frombits(uint64(1023-tb) << 52) // exact 2^−TabBits
 	j := int((mhat - 1) * scale)                            // exact: (m̂−1) by Sterbenz, ·2^k by scaling
-	F := 1 + float64(j)*invScale                            // exact (j/2^k is dyadic; ·2^−k ≡ /2^k)
+	F := 1 + float64(float64(j)*invScale)                   // exact (j/2^k is dyadic; ·2^−k ≡ /2^k)
 	r := (mhat - F) / F                                     // numerator exact; one rounding in the divide
 	// A = e'·log_b2 + log_b(F): two double roundings, identical at
-	// generation and runtime.
-	a := float64(ep)*f.Scale + f.FTab[j]
+	// generation and runtime (float64(·) keeps a compiler from fusing
+	// them into one).
+	a := float64(float64(ep)*f.Scale) + f.FTab[j]
 	return r, Ctx{A: a, S: 1}
 }
 

@@ -92,7 +92,7 @@ func (f *SinhCoshFamily) Reduce(x float64) (float64, Ctx) {
 		}
 	}
 	k := math.Floor(y * f.InvC)
-	r := (y - k*f.CHi) - k*f.CLo
+	r := (y - float64(k*f.CHi)) - float64(k*f.CLo)
 	ki := int(k)
 	m := ki >> 6
 	j := ki - (m << 6)
@@ -102,18 +102,18 @@ func (f *SinhCoshFamily) Reduce(x float64) (float64, Ctx) {
 	sha := (e - ei) * 0.5
 	var a, b float64
 	if f.IsSinh {
-		a = sha*f.CT[j] + cha*f.ST[j] // multiplies cosh(r)
-		b = sha*f.ST[j] + cha*f.CT[j] // multiplies sinh(r)
+		a = float64(sha*f.CT[j]) + float64(cha*f.ST[j]) // multiplies cosh(r)
+		b = float64(sha*f.ST[j]) + float64(cha*f.CT[j]) // multiplies sinh(r)
 	} else {
-		a = cha*f.CT[j] + sha*f.ST[j]
-		b = cha*f.ST[j] + sha*f.CT[j]
+		a = float64(cha*f.CT[j]) + float64(sha*f.ST[j])
+		b = float64(cha*f.ST[j]) + float64(sha*f.CT[j])
 	}
 	return r, Ctx{A: a, B: b, S: s}
 }
 
 // OC implements Family: S·(A·cosh(r) + B·sinh(r)); vals = (sinh, cosh).
 func (f *SinhCoshFamily) OC(vals [2]float64, c Ctx) float64 {
-	return c.S * (c.A*vals[1] + c.B*vals[0])
+	return c.S * (float64(c.A*vals[1]) + float64(c.B*vals[0]))
 }
 
 // SampleDomains implements Family.

@@ -90,13 +90,13 @@ func (f *SinPiFamily) Reduce(x float64) (float64, Ctx) {
 	if n > 255 {
 		n = 255 // L = 0.5 exactly: N = 255, R = 1/512 (paper: N ∈ {0..255})
 	}
-	r := L - float64(n)*0x1p-9 // exact: R ∈ [0, 2^-9]
+	r := L - float64(float64(n)*0x1p-9) // exact: R ∈ [0, 2^-9]
 	return r, Ctx{A: f.SinT[n], B: f.CosT[n], S: s}
 }
 
 // OC implements Family: vals = (sinpi(R), cospi(R)).
 func (f *SinPiFamily) OC(vals [2]float64, c Ctx) float64 {
-	return c.S * (c.A*vals[1] + c.B*vals[0])
+	return c.S * (float64(c.A*vals[1]) + float64(c.B*vals[0]))
 }
 
 // SampleDomains implements Family.
@@ -162,7 +162,7 @@ func (f *CosPiFamily) Reduce(x float64) (float64, Ctx) {
 	if n > 255 {
 		n = 255 // L = 0.5: N = 255, Q = 1/512, so N' = 256 stays in [0, 0.5]
 	}
-	q := L - float64(n)*0x1p-9
+	q := L - float64(float64(n)*0x1p-9)
 	if n == 0 {
 		// cospi(L) = cospi(Q): A multiplies cospi, B multiplies sinpi.
 		return q, Ctx{A: f.CosT[0], B: f.SinT[0], S: c} // CosT[0]=1, SinT[0]=0
@@ -174,7 +174,7 @@ func (f *CosPiFamily) Reduce(x float64) (float64, Ctx) {
 
 // OC implements Family: vals = (sinpi(R), cospi(R)).
 func (f *CosPiFamily) OC(vals [2]float64, c Ctx) float64 {
-	return c.S * (c.A*vals[1] + c.B*vals[0])
+	return c.S * (float64(c.A*vals[1]) + float64(c.B*vals[0]))
 }
 
 // SampleDomains implements Family.
