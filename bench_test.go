@@ -148,6 +148,47 @@ func BenchmarkEvalSliceFuncs1024(b *testing.B) {
 	}
 }
 
+// BenchmarkLibMix1024 is perfbench's `lib` workload with the library
+// alone: the public batch entry points at 1024 values, round robin over
+// the 10 float32 and then the 8 posit32 functions, each walking its own
+// 2^16 internal/perf inputs batch by batch, with no per-call timing or
+// result check. Its ns/value set beside `lib`'s wall time per value
+// (1e9/values_per_s) and perfbench's per-function rows splits what the
+// round robin costs from what perfbench's own check and timing cost.
+func BenchmarkLibMix1024(b *testing.B) {
+	const batch, inputs = 1024, 1 << 16
+	type fn struct {
+		name string
+		xs   []float32
+		ps   []posit32.Posit
+	}
+	var fns []fn
+	for _, name := range rlibm.Names() {
+		fns = append(fns, fn{name: name, xs: perf.Float32Inputs(name, inputs)})
+	}
+	for _, name := range positmath.Names() {
+		fns = append(fns, fn{name: name, ps: perf.PositInputs(name, inputs)})
+	}
+	out32 := make([]float32, batch)
+	outP := make([]posit32.Posit, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := &fns[i%len(fns)]
+		lo := i / len(fns) * batch % inputs
+		var err error
+		if f.xs != nil {
+			err = rlibm.EvalSlice(f.name, out32, f.xs[lo:lo+batch])
+		} else {
+			err = positmath.EvalSlice(f.name, outP, f.ps[lo:lo+batch])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	sink, sinkP = out32[0], outP[0]
+	reportBatchMetrics(b, batch)
+}
+
 // BenchmarkEvalSlice1024 measures the telemetry tax on the named batch
 // entry point: Off is the default silent mode (one atomic pointer load
 // per batch), On counts batches/values into registry counters. The

@@ -42,9 +42,11 @@ func FastTwoSum(a, b float64) (s, e float64) {
 }
 
 // TwoProd returns p, e with p = fl(a*b) and a*b = p+e exactly, using
-// the fused multiply-add.
+// the fused multiply-add. p is written float64(a*b), a rounding the
+// compiler may not fuse into the sum that follows a call (Go fuses
+// x*y + z on arm64), which would take e against the unrounded product.
 func TwoProd(a, b float64) (p, e float64) {
-	p = a * b
+	p = float64(a * b)
 	e = math.FMA(a, b, -p)
 	return
 }
@@ -78,7 +80,7 @@ func Neg(a DD) DD { return DD{-a.Hi, -a.Lo} }
 // Mul returns a*b with a relative error of at most about 2^-102.
 func Mul(a, b DD) DD {
 	p1, p2 := TwoProd(a.Hi, b.Hi)
-	p2 += a.Hi*b.Lo + a.Lo*b.Hi
+	p2 += float64(a.Hi*b.Lo) + float64(a.Lo*b.Hi)
 	p1, p2 = FastTwoSum(p1, p2)
 	return DD{p1, p2}
 }
@@ -124,7 +126,7 @@ func DivF(a DD, b float64) DD {
 // Sqr returns a*a.
 func Sqr(a DD) DD {
 	p1, p2 := TwoProd(a.Hi, a.Hi)
-	p2 += 2 * a.Hi * a.Lo
+	p2 += float64(2 * a.Hi * a.Lo)
 	p1, p2 = FastTwoSum(p1, p2)
 	return DD{p1, p2}
 }

@@ -2,6 +2,8 @@ package libm
 
 import (
 	"testing"
+
+	"rlibm32/internal/cpuid"
 )
 
 // benchInputs mirrors the ordinary-domain input mix the public
@@ -51,7 +53,7 @@ func BenchmarkKernelExp(b *testing.B) {
 	p32 := findImpl(b, VariantPosit32, "exp")
 	benchKernel(b, "float32/go", fusedSlice[float32](f32), xs)
 	benchKernel(b, "float64/go", fusedSlice[float64](p32), xs64)
-	if simdAVX2 {
+	if cpuid.AVX2 {
 		benchKernel(b, "float32/simd", servedSlice[float32](f32), xs)
 		benchKernel(b, "float64/simd", servedSlice[float64](p32), xs64)
 	}

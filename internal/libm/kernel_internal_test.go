@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rlibm32/internal/cpuid"
 	"rlibm32/internal/polygen"
 	"rlibm32/internal/rangered"
 )
@@ -108,7 +109,7 @@ func TestKernelKind32(t *testing.T) {
 		want := "go"
 		switch f.fam.(type) {
 		case *rangered.ExpFamily, *rangered.LogFamily:
-			if simdAVX2 {
+			if cpuid.AVX2 {
 				want = "simd"
 			}
 		}

@@ -1,6 +1,9 @@
 package libm
 
-import "rlibm32/internal/rangered"
+import (
+	"rlibm32/internal/cpuid"
+	"rlibm32/internal/rangered"
+)
 
 // Exported kernel introspection for the parity tests, the roofline
 // harness and telemetry. Everything here is cheap plumbing over
@@ -22,7 +25,7 @@ func KernelKind32(name string) string {
 		}
 		switch f.fam.(type) {
 		case *rangered.ExpFamily, *rangered.LogFamily:
-			if simdAVX2 {
+			if cpuid.AVX2 {
 				return "simd"
 			}
 		}

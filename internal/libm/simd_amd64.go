@@ -5,6 +5,7 @@ package libm
 import (
 	"math"
 
+	"rlibm32/internal/cpuid"
 	"rlibm32/internal/piecewise"
 	"rlibm32/internal/rangered"
 )
@@ -32,10 +33,6 @@ import (
 // over-triggers near its edges but never misses) and repaired by the
 // shared fixup pass; the vector lane itself is total for arbitrary bit
 // patterns (VCVTTPD2DQ saturates, table indices are masked to range).
-
-// cpuidex and xgetbv0 are implemented in simd_amd64.s.
-func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
 
 // expAVX2Exact evaluates n float32 elements (n % 4 == 0, n > 0) of the
 // exp lane with the validated Horner polynomial core. The return value
@@ -101,28 +98,6 @@ type logAsmConsts struct {
 	co       *float64 // 144
 }
 
-// simdAVX2 reports hardware support, probed once at init: AVX2 plus
-// OS-enabled YMM state.
-var simdAVX2 = probeAVX2()
-
-func probeAVX2() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return false
-	}
-	if xmmYmm, _ := xgetbv0(); xmmYmm&6 != 6 {
-		return false
-	}
-	_, b7, _, _ := cpuidex(7, 0)
-	return b7&(1<<5) != 0
-}
-
 // expAVX2 runs the exp lane over xs (len(xs) a positive multiple of 4)
 // at T's width.
 func expAVX2[T fpv](dst, xs []T, c *expAsmConsts) (bad int) {
@@ -155,7 +130,7 @@ func logAVX2[T fpv](dst, xs []T, c *logAsmConsts) (bad int) {
 // pattern, so r ≥ 0 on all lanes and the assembly's signed clamps
 // agree with the scalar kernel's unsigned ones everywhere.
 func simdLogSlice[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, goKern func(dst, xs []T)) func(dst, xs []T) {
-	if !simdAVX2 {
+	if !cpuid.AVX2 {
 		return nil
 	}
 	tb := uint(fam.TabBits)
@@ -197,7 +172,7 @@ func simdLogSlice[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc fun
 // here for the n%4 tail). goKern must be the pure-Go kernel for the
 // same family.
 func simdExpSlice[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) float64, goKern func(dst, xs []T)) func(dst, xs []T) {
-	if !simdAVX2 {
+	if !cpuid.AVX2 {
 		return nil
 	}
 	ord := expBand(fam)

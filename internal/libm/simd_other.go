@@ -12,10 +12,6 @@ import (
 // family is served by the pure-Go kernels of kernel.go, which compute
 // the same bits.
 
-// simdAVX2 reports vector-kernel hardware support; only amd64 has an
-// implementation today.
-const simdAVX2 = false
-
 // simdExpSlice has no implementation on this architecture; the caller
 // keeps the pure-Go kernel.
 func simdExpSlice[T fpv](*rangered.ExpFamily, []float64, func(float64) float64, func(dst, xs []T)) func(dst, xs []T) {

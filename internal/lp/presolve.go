@@ -69,7 +69,7 @@ func (t *ftab) fpivot(row, col int) {
 			continue
 		}
 		for j := 0; j <= t.n; j++ {
-			ai[j] -= f * ar[j]
+			ai[j] -= float64(f * ar[j])
 		}
 		ai[col] = 0
 	}
@@ -95,7 +95,7 @@ func (t *ftab) fratio(col int) int {
 		}
 	}
 	if row >= 0 {
-		slack := bestRatio*1e-9 + 1e-12
+		slack := float64(bestRatio*1e-9) + 1e-12
 		bigP := 0.0
 		for i := 0; i < t.m; i++ {
 			if p := t.a[i][col]; p > presolveEps {
@@ -261,7 +261,7 @@ func presolve(a [][]dyad, b []dyad, cost []dyad) (res *presolveResult, hint []in
 		s := 0.0
 		for i := 0; i < m; i++ {
 			if bi := t.basis[i]; bi < n && fcost[bi] != 0 {
-				s += fcost[bi] * t.a[i][j]
+				s += float64(fcost[bi] * t.a[i][j])
 			}
 		}
 		t.a[t.m][j] = cj - s

@@ -118,7 +118,7 @@ func (f Format) FromFloat64(x float64) uint16 {
 	// the next power step round to Inf.
 	maxV := f.ToFloat64(f.MaxFinite())
 	ulpTop := math.Ldexp(1, int(f.expMax())-2-f.bias()-int(f.FracBits)+1)
-	if x >= maxV+ulpTop/2 {
+	if x >= maxV+float64(ulpTop/2) {
 		return sign | f.Inf(1)
 	}
 	// Decompose x = m·2^e with m ∈ [1, 2).
@@ -255,23 +255,23 @@ func (f Format) boundaries(cand uint16) (lo, hi float64) {
 		m := f.ToFloat64(f.MaxFinite())
 		ulpTop := math.Ldexp(1, int(f.expMax())-2-f.bias()-int(f.FracBits)+1)
 		if cand == f.Inf(1) {
-			return m + ulpTop/2, math.Inf(1)
+			return m + float64(ulpTop/2), math.Inf(1)
 		}
-		return math.Inf(-1), -(m + ulpTop/2)
+		return math.Inf(-1), -(m + float64(ulpTop/2))
 	}
 	up := f.ToFloat64(f.NextUp(cand))
 	dn := f.ToFloat64(f.NextDown(cand))
 	if math.IsInf(up, 1) {
 		m := f.ToFloat64(f.MaxFinite())
 		ulpTop := math.Ldexp(1, int(f.expMax())-2-f.bias()-int(f.FracBits)+1)
-		hi = m + ulpTop/2
+		hi = m + float64(ulpTop/2)
 	} else {
 		hi = (v + up) / 2 // exact: short mantissas
 	}
 	if math.IsInf(dn, -1) {
 		m := f.ToFloat64(f.MaxFinite())
 		ulpTop := math.Ldexp(1, int(f.expMax())-2-f.bias()-int(f.FracBits)+1)
-		lo = -(m + ulpTop/2)
+		lo = -(m + float64(ulpTop/2))
 	} else {
 		lo = (v + dn) / 2
 	}

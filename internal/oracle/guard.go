@@ -47,7 +47,7 @@ func RoundDecided32(ref float64, guardUlps float64) (float32, bool) {
 	}
 	// Conservative band: guardUlps * (2^-52|ref| + 2^-1074) bounds
 	// guardUlps ulps for every finite ref, normal or subnormal.
-	eps := guardUlps * (0x1p-52*math.Abs(ref) + 0x1p-1074)
+	eps := float64(guardUlps * (float64(0x1p-52*math.Abs(ref)) + 0x1p-1074))
 	a := float32(ref - eps)
 	b := float32(ref + eps)
 	if a == b {

@@ -48,8 +48,8 @@ func exp10Ref(x float64) float64 {
 		// the correction cannot change the float32 rounding.
 		return y
 	}
-	e := math.FMA(x, math.Ln10, -p) + x*ln10Lo
-	return y + y*e
+	e := math.FMA(x, math.Ln10, -p) + float64(x*ln10Lo)
+	return y + float64(y*e)
 }
 
 // reducePi2 returns d, n with x ≡ d + n (mod 2), d ∈ [-0.5, 0.5] and n

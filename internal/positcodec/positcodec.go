@@ -20,14 +20,20 @@
 // against float64's 53) and a scale within ±4(n−2), far inside
 // float64's normal range.
 //
-// The scalar functions are too large for the inliner, so the posit32
-// batch loops (DecodeSlice32, EncodeSlice32) are built from the same
-// small pieces, each of which inlines: a batch pays no call per value.
+// The scalar functions are too large for the inliner, so the pure-Go
+// posit32 batch loops are built from the same small pieces, each of
+// which inlines: a batch pays no call per value. On AVX2 hosts the
+// batch entry points (DecodeSlice32, EncodeSlice32) run all but the
+// last len % 4 values through the AVX2 loops of slice_amd64.s, which
+// compute the same bits, and leave only that tail to the Go loops.
 package positcodec
 
 import (
 	"math"
 	"math/bits"
+	"unsafe"
+
+	"rlibm32/internal/cpuid"
 )
 
 // nanBits is the float64 NaN that NaR decodes to (math.NaN's pattern).
@@ -161,8 +167,37 @@ func Boundary(p uint64, n uint) float64 {
 }
 
 // DecodeSlice32 decodes posit32 patterns: dst[i] = Decode(src[i], 32)
-// for every element of src. len(dst) must be at least len(src).
+// for every element of src. len(dst) must be at least len(src). On
+// AVX2 hosts the AVX2 loop decodes the first len(src) &^ 3 values and
+// the Go loop the rest.
 func DecodeSlice32[P ~uint32](dst []float64, src []P) {
+	dst = dst[:len(src)]
+	n := 0
+	if cpuid.AVX2 && len(src) >= 4 {
+		n = len(src) &^ 3
+		decode32AVX2(&dst[0], (*uint32)(unsafe.Pointer(&src[0])), n)
+	}
+	decodeSlice32(dst[n:], src[n:])
+}
+
+// EncodeSlice32 rounds to posit32: dst[i] = FromFloat64(src[i], 32)
+// for every element of src. len(dst) must be at least len(src). On
+// AVX2 hosts the AVX2 loop encodes the first len(src) &^ 3 values and
+// the Go loop the rest.
+func EncodeSlice32[P ~uint32](dst []P, src []float64) {
+	dst = dst[:len(src)]
+	n := 0
+	if cpuid.AVX2 && len(src) >= 4 {
+		n = len(src) &^ 3
+		encode32AVX2((*uint32)(unsafe.Pointer(&dst[0])), &src[0], n)
+	}
+	encodeSlice32(dst[n:], src[n:])
+}
+
+// decodeSlice32 is DecodeSlice32's pure-Go loop: the tail after the
+// AVX2 loop, the whole batch elsewhere, and the loop the AVX2 one is
+// tested against.
+func decodeSlice32[P ~uint32](dst []float64, src []P) {
 	dst = dst[:len(src)]
 	for i, p := range src {
 		x := uint64(p) << 32
@@ -171,9 +206,8 @@ func DecodeSlice32[P ~uint32](dst []float64, src []P) {
 	}
 }
 
-// EncodeSlice32 rounds to posit32: dst[i] = FromFloat64(src[i], 32)
-// for every element of src. len(dst) must be at least len(src).
-func EncodeSlice32[P ~uint32](dst []P, src []float64) {
+// encodeSlice32 is EncodeSlice32's pure-Go loop, in the same roles.
+func encodeSlice32[P ~uint32](dst []P, src []float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		b := math.Float64bits(x)
