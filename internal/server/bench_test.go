@@ -103,15 +103,6 @@ func TestPerFrameSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Negotiate v2 up front: the pad-byte advertisement arms the trace
-	// branches on both ends, so the untraced loop below proves the
-	// flags-word check itself costs no allocations.
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if v := c.PeerVersion(); v != MaxProtoVersion {
-		t.Fatalf("peer version %d after ping, want %d", v, MaxProtoVersion)
-	}
 	f32in, _ := expWorkload(256)
 	p32in := make([]uint32, 256)
 	for i, p := range perf.PositInputs("exp", len(p32in)) {

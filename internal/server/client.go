@@ -5,14 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rlibm32/internal/telemetry"
-	"rlibm32/posit32"
 
 	rlibm "rlibm32"
 )
@@ -47,19 +45,19 @@ type Call struct {
 	Done   chan *Call // receives the Call on completion; cap ≥ 1
 	Tag    uint64     // caller scratch (e.g. a slot index); not touched
 
-	// Trace context (GoTraced). TraceID != 0 makes the writer encode a
-	// v2 frame; on completion it holds the trace id echoed by the
+	// Trace context (GoTraced). TraceID travels in the request frame (0
+	// means untraced); on completion it holds the trace id echoed by the
 	// server, Spans the per-stage records the response carried, and
 	// IssuedNs/SentNs the client-side issue and flush timestamps (unix
-	// ns) for the client.rpc / client.flush spans.
+	// ns) for the client.rpc / client.flush spans (stamped for traced
+	// calls).
 	TraceID  uint64
 	Spans    []telemetry.SpanRecord
 	IssuedNs int64
 	SentNs   int64
 
-	op         uint8
-	traceFlags uint64
-	id         uint32
+	op uint8
+	id uint32
 
 	// state sequences the writer's reads of the request fields against
 	// the caller's reuse of the Call after completion. The writer CASes
@@ -115,11 +113,6 @@ type Client struct {
 	quit     chan struct{} // closed once on Close or transport failure
 	quitOnce sync.Once
 
-	// peerVer is the highest protocol version the server has advertised
-	// (in response pad bytes); starts at ProtoVersion, so traced sends
-	// degrade to v1 until the peer proves it understands v2.
-	peerVer atomic.Uint32
-
 	callPool sync.Pool // *Call with a cap-1 Done channel, for the sync API
 }
 
@@ -148,17 +141,10 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		quit:    make(chan struct{}),
 	}
 	c.callPool.New = func() any { return &Call{Done: make(chan *Call, 1)} }
-	c.peerVer.Store(ProtoVersion)
 	go c.writer()
 	go c.reader()
 	return c, nil
 }
-
-// PeerVersion returns the highest protocol version the server has
-// advertised on this connection (ProtoVersion until a response has
-// been seen; v2-capable servers advertise in every response's pad
-// byte, so one Ping after dialing completes negotiation).
-func (c *Client) PeerVersion() uint8 { return uint8(c.peerVer.Load()) }
 
 // Close tears the connection down; in-flight calls complete with
 // ErrClientClosed (or the read error that raced it).
@@ -183,8 +169,8 @@ func (c *Client) broken() bool {
 }
 
 // Broken reports whether the client can no longer issue requests (the
-// connection failed or was closed) and must be redialed. The fleet
-// proxy's lazy backend pools key their redial decision off this.
+// connection failed or was closed) and must be redialed. The proxy's
+// health prober keys its redial decision off this.
 func (c *Client) Broken() bool { return c.broken() }
 
 // fail completes every registered call with err and poisons the
@@ -225,45 +211,29 @@ func (call *Call) finish() {
 	}
 }
 
-// Go issues req asynchronously: it registers the call, hands it to the
-// writer, and returns immediately; the call comes back on done (cap
-// ≥ 1; allocated when nil) once the response arrives. Misuse — an
-// unknown type code, dst shorter than src, a closed client — completes
-// the call immediately with the error set.
-func (c *Client) Go(typ uint8, name string, dst, src []uint32, done chan *Call) *Call {
-	return c.GoTagged(typ, name, dst, src, done, 0)
-}
-
-// GoTagged is Go with the caller's Tag set before the call is issued.
-// When the goroutine consuming done is not the one issuing, assigning
-// Tag on the returned *Call races with its completion — the consumer
-// can receive the call before the issuer's store lands. GoTagged
-// closes that window; the proxy's routing slots depend on it.
+// GoTagged evaluates name over src asynchronously: it registers the
+// call, hands it to the writer, and returns immediately; the call comes
+// back on done (cap ≥ 1; allocated when nil) once the response arrives,
+// with tag in its Tag. Misuse — an unknown type code, dst shorter than src, a
+// closed client — completes the call immediately with the error set.
+// The Tag is set before the call is issued: when the goroutine
+// consuming done is not the one issuing, assigning Tag on the returned
+// *Call would race with its completion. The proxy's routing slots
+// depend on this.
 func (c *Client) GoTagged(typ uint8, name string, dst, src []uint32, done chan *Call, tag uint64) *Call {
-	if done == nil {
-		done = make(chan *Call, 1)
-	}
-	call := &Call{Type: typ, Name: name, Src: src, Dst: dst, Done: done, Tag: tag, op: OpEval}
-	c.start(call)
-	return call
+	return c.GoTraced(typ, name, dst, src, done, tag, 0)
 }
 
-// GoTraced is GoTagged with a trace context attached: the request goes
-// out as a v2 frame carrying traceID and flags, and on completion
-// Call.TraceID, Call.Spans, Call.IssuedNs and Call.SentNs hold the
-// stitchable trace material. A traceID of 0 means untraced. Tracing
-// degrades silently when the peer has not advertised v2 support
-// (PeerVersion < 2; Ping once after dialing to learn it): the frame is
-// sent untraced, so old servers never see a version byte they would
-// reject.
-func (c *Client) GoTraced(typ uint8, name string, dst, src []uint32, done chan *Call, tag, traceID, flags uint64) *Call {
+// GoTraced is GoTagged with a trace id attached: the request carries
+// traceID, and on completion Call.TraceID, Call.Spans, Call.IssuedNs
+// and Call.SentNs hold the stitchable trace material. A traceID of 0
+// means untraced.
+func (c *Client) GoTraced(typ uint8, name string, dst, src []uint32, done chan *Call, tag, traceID uint64) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
 	}
-	call := &Call{Type: typ, Name: name, Src: src, Dst: dst, Done: done, Tag: tag, op: OpEval}
-	if traceID != 0 && c.peerVer.Load() >= ProtoVersionTraced {
-		call.TraceID = traceID
-		call.traceFlags = flags
+	call := &Call{Type: typ, Name: name, Src: src, Dst: dst, Done: done, Tag: tag, TraceID: traceID, op: OpEval}
+	if traceID != 0 {
 		call.IssuedNs = time.Now().UnixNano()
 	}
 	c.start(call)
@@ -344,7 +314,6 @@ func (c *Client) writer() {
 		wire   net.Buffers // consumable header for WriteTo; declared here so no flush allocates
 		window []*Call
 		kept   []*Call
-		traced []*Call
 	)
 	for {
 		var call *Call
@@ -379,20 +348,16 @@ func (c *Client) writer() {
 		c.mu.Unlock()
 		var err error
 		if len(kept) > 0 {
-			hdrs, arena, bufs, traced = hdrs[:0], arena[:0], bufs[:0], traced[:0]
+			hdrs, arena, bufs = hdrs[:0], arena[:0], bufs[:0]
+			traced := false
 			for _, cl := range kept {
 				width := TypeWidth(cl.Type)
 				off := len(hdrs)
-				if cl.TraceID != 0 {
-					// Snapshot traced calls now, before any byte reaches the
-					// wire: once WriteTo starts, a response can land and the
-					// reader overwrites TraceID with the server's echo, so
-					// re-reading it after the flush would race.
-					traced = append(traced, cl)
-					hdrs = appendTracedRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width, cl.TraceID, cl.traceFlags)
-				} else {
-					hdrs = appendRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width)
-				}
+				// TraceID is read here, before any byte reaches the wire:
+				// once WriteTo starts, a response can land and the reader
+				// overwrites it with the server's echo.
+				traced = traced || cl.TraceID != 0
+				hdrs = appendRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width, cl.TraceID)
 				bufs = append(bufs, hdrs[off:len(hdrs):len(hdrs)])
 				if len(cl.Src) > 0 {
 					if width == 4 && hostLE {
@@ -410,12 +375,13 @@ func (c *Client) writer() {
 			for i := range bufs {
 				bufs[i] = nil
 			}
-			if err == nil && len(traced) > 0 {
-				// Stamp flush time on traced calls (one clock read per
-				// flush, not per call) — still under wmu and before the
-				// sent CAS, so no consumer can be reading SentNs yet.
+			if err == nil && traced {
+				// Stamp the flush time for the client.flush span (one clock
+				// read per flush that carries a traced call, not per call)
+				// — still under wmu and before the sent CAS, so no consumer
+				// can be reading SentNs yet.
 				sentNs := time.Now().UnixNano()
-				for _, cl := range traced {
+				for _, cl := range kept {
 					cl.SentNs = sentNs
 				}
 			}
@@ -490,32 +456,22 @@ func (c *Client) reader() {
 			c.fail(fmt.Errorf("server: read: %w", err))
 			return
 		}
-		if len(frame) < respHeaderLen || (frame[0] != ProtoVersion && frame[0] != ProtoVersionTraced) {
-			c.fail(fmt.Errorf("%w: bad response header", ErrBadFrame))
+		if err := checkVersion(frame); err != nil {
+			c.fail(err)
+			return
+		}
+		if len(frame) < respHeaderLen {
+			c.fail(fmt.Errorf("%w: response header truncated", ErrBadFrame))
 			return
 		}
 		status, typ := frame[1], frame[2]
 		id := binary.LittleEndian.Uint32(frame[4:])
 		count := int(binary.LittleEndian.Uint32(frame[8:]))
-		hdr := respHeaderLen
-		traced := frame[0] == ProtoVersionTraced
-		var traceID uint64
-		nspans := 0
-		if traced {
-			nspans = int(frame[3])
-			hdr += TraceBlockLen + nspans*spanRecLen
-			if len(frame) < hdr {
-				c.fail(fmt.Errorf("%w: trace block truncated", ErrBadFrame))
-				return
-			}
-			traceID = binary.LittleEndian.Uint64(frame[12:])
-			if c.peerVer.Load() < ProtoVersionTraced {
-				c.peerVer.Store(ProtoVersionTraced)
-			}
-		} else if adv := uint32(frame[3]); adv > c.peerVer.Load() && adv <= MaxProtoVersion {
-			// v1 responses from v2-capable servers advertise in the pad
-			// byte; only the reader goroutine stores, so no CAS needed.
-			c.peerVer.Store(adv)
+		nspans := int(frame[3])
+		hdr := respHeaderLen + nspans*spanRecLen
+		if len(frame) < hdr {
+			c.fail(fmt.Errorf("%w: span records truncated", ErrBadFrame))
+			return
 		}
 		c.mu.Lock()
 		call := c.calls[id]
@@ -526,10 +482,8 @@ func (c *Client) reader() {
 			return
 		}
 		call.Status = status
-		if traced {
-			call.TraceID = traceID
-			call.Spans = decodeSpanRecords(call.Spans, frame[respHeaderLen+TraceBlockLen:], nspans)
-		}
+		call.TraceID = binary.LittleEndian.Uint64(frame[12:])
+		call.Spans = decodeSpanRecords(call.Spans, frame[respHeaderLen:], nspans)
 		if status != StatusOK {
 			// Non-OK means "no results", and must carry none.
 			if count != 0 || len(frame) != hdr {
@@ -587,7 +541,7 @@ func (c *Client) roundTrip(op, typ uint8, name string, dst, src []uint32) (*Call
 	call := c.callPool.Get().(*Call)
 	call.Type, call.Name, call.Src, call.Dst = typ, name, src, dst
 	call.Status, call.Err, call.Tag, call.op = 0, nil, 0, op
-	call.TraceID, call.traceFlags, call.IssuedNs, call.SentNs = 0, 0, 0, 0
+	call.TraceID, call.IssuedNs, call.SentNs = 0, 0, 0
 	call.Spans = call.Spans[:0]
 	call.state.Store(callPending)
 	c.start(call)
@@ -654,67 +608,10 @@ func (c *Client) EvalBits(typ uint8, name string, dst, src []uint32) ([]uint32, 
 	return out, StatusOK, nil
 }
 
-// EvalFloat32 evaluates the named float32 function over xs into dst
-// (allocated when nil; ErrShortDst when too short). Non-OK statuses
-// surface as errors here; use EvalBits to handle BUSY with backoff.
-func (c *Client) EvalFloat32(name string, dst, xs []float32) ([]float32, error) {
-	if dst != nil && len(dst) < len(xs) {
-		return nil, ErrShortDst
-	}
-	// Distinct src and dst buffers: the writer goroutine scatter-gathers
-	// src onto the wire, so results must not decode over it.
-	bits := make([]uint32, 2*len(xs))
-	src, out0 := bits[:len(xs)], bits[len(xs):]
-	for i, x := range xs {
-		src[i] = math.Float32bits(x)
-	}
-	out, status, err := c.EvalBits(TFloat32, name, out0, src)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s(%d values): %s", name, len(xs), StatusText(status))
-	}
-	if dst == nil {
-		dst = make([]float32, len(xs))
-	}
-	for i, b := range out {
-		dst[i] = math.Float32frombits(b)
-	}
-	return dst[:len(xs)], nil
-}
-
-// EvalPosit32 evaluates the named posit32 function over ps into dst
-// (allocated when nil; ErrShortDst when too short).
-func (c *Client) EvalPosit32(name string, dst, ps []posit32.Posit) ([]posit32.Posit, error) {
-	if dst != nil && len(dst) < len(ps) {
-		return nil, ErrShortDst
-	}
-	bits := make([]uint32, 2*len(ps))
-	src, out0 := bits[:len(ps)], bits[len(ps):]
-	for i, p := range ps {
-		src[i] = uint32(p)
-	}
-	out, status, err := c.EvalBits(TPosit32, name, out0, src)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s(%d values): %s", name, len(ps), StatusText(status))
-	}
-	if dst == nil {
-		dst = make([]posit32.Posit, len(ps))
-	}
-	for i, b := range out {
-		dst[i] = posit32.Posit(b)
-	}
-	return dst[:len(ps)], nil
-}
-
-// Pool is a set of pipelined clients over pooled connections. Get
-// spreads callers round-robin and transparently redials connections
-// that died, so a long-lived caller rides out server restarts and
-// connection kills; each underlying Client multiplexes any number of
+// Pool is a lazily dialed pool of pipelined clients to one server.
+// Slots start empty, are dialed on first use and are redialed after
+// failures, so a caller — the fleet proxy — comes up and stays up with
+// its server in any state. Each Client multiplexes any number of
 // concurrent calls.
 type Pool struct {
 	addr    string
@@ -726,76 +623,73 @@ type Pool struct {
 	closed  bool
 }
 
-// NewPool dials size pipelined connections to addr. Dial failures are
-// returned immediately; the pool holds only healthy connections.
-func NewPool(addr string, size int, timeout time.Duration) (*Pool, error) {
+// NewPool sizes a pool of size connections to addr (at least one);
+// nothing is dialed until Get. timeout is each dial's timeout and its
+// client's per-flush I/O deadline.
+func NewPool(addr string, size int, timeout time.Duration) *Pool {
 	if size <= 0 {
 		size = 1
 	}
-	p := &Pool{addr: addr, timeout: timeout, clients: make([]*Client, size)}
-	for i := range p.clients {
-		c, err := DialTimeout(addr, timeout)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		p.clients[i] = c
-	}
-	return p, nil
+	return &Pool{addr: addr, timeout: timeout, clients: make([]*Client, size)}
 }
 
-// Get returns the next connection round-robin, redialing it first if
-// it has failed since the last use.
+// Get returns the next connection round-robin, dialing the slot if it
+// is empty or its previous connection failed. A dial error leaves the
+// slot as it was and surfaces to the caller (the proxy counts it as a
+// backend failure and fails over).
+//
+// The dial and its follow-up ping run outside the pool mutex — a slow
+// server must not stall every caller round-robining through the pool.
+// The ping proves the connection actually serves requests; a dial alone
+// only proves a listener.
 func (p *Pool) Get() (*Client, error) {
-	i := int(p.next.Add(1)) % p.size()
+	i := int(p.next.Add(1)) % len(p.clients)
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return nil, ErrClientClosed
 	}
 	c := p.clients[i]
-	if c == nil || c.broken() {
-		fresh, err := DialTimeout(p.addr, p.timeout)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			c.Close()
-		}
-		p.clients[i] = fresh
-		c = fresh
+	p.mu.Unlock()
+	if c != nil && !c.broken() {
+		return c, nil
 	}
-	return c, nil
-}
-
-func (p *Pool) size() int {
+	fresh, err := DialTimeout(p.addr, p.timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := fresh.Ping(); err != nil {
+		fresh.Close()
+		return nil, err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.clients)
-}
-
-// EvalBits runs Client.EvalBits on the next pooled connection.
-func (p *Pool) EvalBits(typ uint8, name string, dst, src []uint32) ([]uint32, uint8, error) {
-	c, err := p.Get()
-	if err != nil {
-		return nil, 0, err
+	if p.closed {
+		fresh.Close()
+		return nil, ErrClientClosed
 	}
-	return c.EvalBits(typ, name, dst, src)
+	// Another goroutine may have repaired the slot while we dialed;
+	// keep the winner and discard the duplicate.
+	if cur := p.clients[i]; cur != nil && cur != c && !cur.broken() {
+		fresh.Close()
+		return cur, nil
+	} else if cur != nil {
+		cur.Close()
+	}
+	p.clients[i] = fresh
+	return fresh, nil
 }
 
-// Close closes every pooled connection.
-func (p *Pool) Close() error {
+// Close tears down every dialed connection; in-flight calls complete
+// with errors (and are retried elsewhere by their owners).
+func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	var first error
-	for _, c := range p.clients {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
+	for i, c := range p.clients {
+		if c != nil {
+			c.Close()
+			p.clients[i] = nil
 		}
 	}
-	return first
 }

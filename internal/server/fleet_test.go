@@ -87,9 +87,10 @@ func (rs *restartableServer) restart() {
 	}
 }
 
-// TestPoolRedialStorm runs concurrent pipelined Go callers through one
-// Pool while the server behind it is hard-killed and restarted on the
-// same address, repeatedly. The invariants under the storm: every
+// TestPoolRedialStorm runs concurrent pipelined GoTagged callers
+// through one Pool — the lazy pool the proxy forwards through — while
+// the server behind it is hard-killed and restarted on the same
+// address, repeatedly. The invariants under the storm: every
 // completion delivered to a worker is a call that worker issued and
 // has not completed before (no recycled or foreign Call), results land
 // in the issuing call's own Dst buffer, and an OK completion is
@@ -98,10 +99,7 @@ func (rs *restartableServer) restart() {
 // against the client's fail/complete paths.
 func TestPoolRedialStorm(t *testing.T) {
 	rs := newRestartableServer(t)
-	pool, err := NewPool(rs.addr, 3, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(rs.addr, 3, 2*time.Second)
 	defer pool.Close()
 
 	const workers = 4
@@ -332,7 +330,7 @@ func TestParseRequestZeroCopy(t *testing.T) {
 		want error
 	}{
 		{"truncated header", func(f []byte) []byte { return f[:reqHeaderLen-1] }, ErrBadFrame},
-		{"bad version", func(f []byte) []byte { f[0] = MaxProtoVersion + 1; return f }, ErrBadVersion},
+		{"bad version", func(f []byte) []byte { f[0] = ProtoVersion + 1; return f }, ErrBadVersion},
 		{"unknown opcode", func(f []byte) []byte { f[1] = 0xEE; return f }, ErrBadFrame},
 		{"unknown type", func(f []byte) []byte { f[2] = 0xEE; return f }, ErrBadFrame},
 		{"length too short", func(f []byte) []byte { return f[:len(f)-1] }, ErrBadFrame},

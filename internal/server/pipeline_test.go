@@ -51,18 +51,15 @@ func TestClientDstContract(t *testing.T) {
 	if _, _, err := c.EvalBits(TFloat32, "exp", make([]uint32, 4), in); !errors.Is(err, ErrShortDst) {
 		t.Errorf("short dst: err = %v, want ErrShortDst", err)
 	}
-	if _, err := c.EvalFloat32("exp", make([]float32, 4), make([]float32, 8)); !errors.Is(err, ErrShortDst) {
-		t.Errorf("EvalFloat32 short dst: err = %v, want ErrShortDst", err)
-	}
 	// The async API reports the contract violation on the call itself.
-	call := c.Go(TFloat32, "exp", make([]uint32, 4), in, nil)
+	call := c.GoTagged(TFloat32, "exp", make([]uint32, 4), in, nil, 0)
 	select {
 	case <-call.Done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("short-dst Go call never completed")
+		t.Fatal("short-dst GoTagged call never completed")
 	}
 	if !errors.Is(call.Err, ErrShortDst) {
-		t.Errorf("Go short dst: err = %v, want ErrShortDst", call.Err)
+		t.Errorf("GoTagged short dst: err = %v, want ErrShortDst", call.Err)
 	}
 
 	// Nil dst: allocated to len(src).
@@ -218,7 +215,7 @@ func TestPipelinedBitExact(t *testing.T) {
 			sl.dst = make([]uint32, 64)
 		}
 		sl.f, sl.lo = f, lo
-		c.Go(TFloat32, f.name, sl.dst, f.in[lo:lo+64], done).Tag = uint64(si)
+		c.GoTagged(TFloat32, f.name, sl.dst, f.in[lo:lo+64], done, uint64(si))
 		issued++
 	}
 	for si := 0; si < depth; si++ {
@@ -263,15 +260,12 @@ func TestPipelinedBitExact(t *testing.T) {
 
 // TestPoolReconnectSoak kills pooled connections out from under active
 // pipelined traffic (simulating server-side resets) and checks that the
-// pool redials and that every response that does arrive is bit-exact.
-// Run under -race: it exercises the client's concurrent fail/complete
-// paths.
+// pool — the lazy pool the proxy forwards through — redials and that
+// every response that does arrive is bit-exact. Run under -race: it
+// exercises the client's concurrent fail/complete paths.
 func TestPoolReconnectSoak(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 2})
-	pool, err := NewPool(addr, 3, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(addr, 3, 2*time.Second)
 	defer pool.Close()
 	in, want := expWorkload(256)
 
@@ -289,7 +283,12 @@ func TestPoolReconnectSoak(t *testing.T) {
 					return
 				default:
 				}
-				got, status, err := pool.EvalBits(TFloat32, "exp", dst, in)
+				c, err := pool.Get()
+				if err != nil {
+					transportErrs.Add(1)
+					continue
+				}
+				got, status, err := c.EvalBits(TFloat32, "exp", dst, in)
 				if err != nil {
 					// A kill can race an in-flight call; the contract is
 					// an error, never a wrong answer.
@@ -340,7 +339,7 @@ func TestPoolReconnectSoak(t *testing.T) {
 // exactly len(Src) results.
 func FuzzPipelinedResponses(f *testing.F) {
 	mk := func(status uint8, id uint32, bits []uint32) []byte {
-		b := appendResponseHeader(nil, status, TFloat32, 0, id, len(bits), 4)
+		b := appendResponseHeader(nil, status, TFloat32, id, len(bits), 4, 0, nil)
 		return appendValues(b, bits, 4)
 	}
 	var ooo []byte // ids completed 3, 1, 2: the reorder path
@@ -353,6 +352,10 @@ func FuzzPipelinedResponses(f *testing.F) {
 	f.Add(mk(StatusOK, 99, []uint32{5}))              // unknown id
 	f.Add(append(mk(StatusBusy, 1, nil), 0xAA, 0xBB)) // busy then garbage
 	f.Add([]byte{0xff, 0xff, 0xff})
+	// testdata's 336db07ce8d6c3d9 in the current format: an empty OK
+	// with an unknown type code (the saved frame now stops at its
+	// version byte).
+	f.Add(appendResponseHeader(nil, StatusOK, 0x30, 1, 0, 4, 0, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The accept goroutine can outlive this iteration (it lingers in
@@ -382,7 +385,7 @@ func FuzzPipelinedResponses(f *testing.F) {
 		done := make(chan *Call, 3)
 		calls := make([]*Call, 3)
 		for i := range calls {
-			calls[i] = c.Go(TFloat32, "exp", nil, []uint32{uint32(i)}, done)
+			calls[i] = c.GoTagged(TFloat32, "exp", nil, []uint32{uint32(i)}, done, 0)
 		}
 		for i := 0; i < len(calls); i++ {
 			select {

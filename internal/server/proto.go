@@ -11,9 +11,11 @@
 // Frame layout (all integers little-endian):
 //
 //	request:  u32 len | u8 ver | u8 op | u8 type | u8 nameLen |
-//	          u32 id | u32 count | name[nameLen] | values[count*width]
-//	response: u32 len | u8 ver | u8 status | u8 type | u8 pad |
-//	          u32 id | u32 count | values[count*width]
+//	          u32 id | u32 count | u64 trace | name[nameLen] |
+//	          values[count*width]
+//	response: u32 len | u8 ver | u8 status | u8 type | u8 nspans |
+//	          u32 id | u32 count | u64 trace | spans[nspans] |
+//	          values[count*width]
 //
 // len counts every byte after the length field itself. width is the
 // representation's encoding width: 4 bytes for float32 and posit32,
@@ -22,17 +24,13 @@
 // posits, the 16-bit encodings for the half-width types); 16-bit
 // values occupy the low 16 bits of their Request/Response Bits entry.
 //
-// Version 2 frames carry an optional trace context for cross-process
-// request tracing. A v2 request inserts a 16-byte trace block (u64
-// trace id, u64 flags) between the fixed header and the name; a v2
-// response inserts the same block plus nspans (the pad byte) 24-byte
-// span records (u64 start unix ns, u64 dur ns, u8 proc, u8 stage, 6
-// reserved) before the values, letting each tier report where the
-// request spent its time. Negotiation is passive and backward
-// compatible: v1 responses from a v2-capable server carry the peer's
-// maximum version in the pad byte — a field v1 decoders never read —
-// and a client sends v2 frames only after seeing an advertisement, so
-// old peers are never handed a version byte they would reject.
+// trace is the request's trace id for cross-process request tracing,
+// echoed on its response; 0 means untraced. A response carries nspans
+// 24-byte span records (u64 start unix ns, u64 dur ns, u8 proc, u8
+// stage, 6 reserved), letting each tier report where a traced request
+// spent its time. Every frame carries ProtoVersion, and every parser
+// rejects any other version byte, so a frame from an older build fails
+// loudly instead of being misparsed.
 //
 // Inside the daemon, a fixed pool of workers evaluates each request as
 // one call into the batch kernels — see dispatch.go — and overload is
@@ -52,31 +50,22 @@ import (
 	"rlibm32/internal/telemetry"
 )
 
-// ProtoVersion is the baseline wire protocol version byte; frames at
-// this version are byte-identical to the pre-tracing protocol.
-const ProtoVersion = 1
-
-// ProtoVersionTraced marks frames carrying a trace context block;
-// MaxProtoVersion is what a server advertises in v1 response pad
-// bytes.
-const (
-	ProtoVersionTraced = 2
-	MaxProtoVersion    = ProtoVersionTraced
-)
+// ProtoVersion is the wire protocol version byte. Every peer is built
+// from this tree and speaks exactly this version; parsers reject any
+// other value with ErrBadVersion.
+const ProtoVersion = 3
 
 // reqHeaderLen / respHeaderLen count the fixed bytes after the length
-// prefix.
+// prefix, the u64 trace id included.
 const (
-	reqHeaderLen  = 12
-	respHeaderLen = 12
+	reqHeaderLen  = 20
+	respHeaderLen = 20
 )
 
-// TraceBlockLen is the v2 trace context block (u64 trace id, u64
-// flags); spanRecLen is one encoded span record in a v2 response.
+// spanRecLen is one encoded span record in a response.
 const (
-	TraceBlockLen = 16
 	spanRecLen    = 24
-	maxFrameSpans = 255 // span count travels in the pad byte
+	maxFrameSpans = 255 // span count travels in one header byte
 )
 
 // DefaultMaxFrame bounds the payload of a single frame (1 MiB: a
@@ -178,35 +167,26 @@ func TypeCode(variant string) (uint8, bool) {
 }
 
 // Request is a decoded request frame. Bits holds the raw input bit
-// patterns; 16-bit types use the low 16 bits of each entry. When
-// Traced is set, the frame is encoded at ProtoVersionTraced and
-// carries the trace block.
+// patterns; 16-bit types use the low 16 bits of each entry. TraceID 0
+// means untraced.
 type Request struct {
-	ID         uint32
-	Op         uint8
-	Type       uint8
-	Name       string
-	Bits       []uint32
-	Traced     bool
-	TraceID    uint64
-	TraceFlags uint64
+	ID      uint32
+	Op      uint8
+	Type    uint8
+	Name    string
+	Bits    []uint32
+	TraceID uint64
 }
 
-// Response is a decoded response frame. Advert is the pad byte of a v1
-// frame: v2-capable servers advertise MaxProtoVersion there, v1
-// servers always send 0, and pre-tracing decoders never read it. A
-// traced (v2) response instead uses the pad byte as its span count and
-// echoes the request's trace block.
+// Response is a decoded response frame. TraceID echoes the request's;
+// Spans are the per-stage records a traced request collected.
 type Response struct {
-	ID         uint32
-	Status     uint8
-	Type       uint8
-	Advert     uint8
-	Bits       []uint32
-	Traced     bool
-	TraceID    uint64
-	TraceFlags uint64
-	Spans      []telemetry.SpanRecord
+	ID      uint32
+	Status  uint8
+	Type    uint8
+	Bits    []uint32
+	TraceID uint64
+	Spans   []telemetry.SpanRecord
 }
 
 // Decode errors (the handler maps them to error frames/close).
@@ -272,68 +252,34 @@ func decodeValuesInto(dst []uint32, payload []byte, width int) {
 	}
 }
 
-// decodeValues decodes count bit patterns at the given width into a
-// fresh slice.
-func decodeValues(payload []byte, count, width int) []uint32 {
-	bits := make([]uint32, count)
-	decodeValuesInto(bits, payload, width)
-	return bits
-}
-
-// appendRequestHeader appends the 16-byte fixed request header plus
-// the function name (the frame's length prefix included) to dst. The
-// caller appends or scatter-gathers the value payload separately.
-func appendRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int) []byte {
+// appendRequestHeader appends the fixed request header (the frame's
+// length prefix and trace id included) plus the function name to dst.
+// The caller appends or scatter-gathers the value payload separately.
+func appendRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int, traceID uint64) []byte {
 	frameLen := reqHeaderLen + len(name) + count*width
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
 	dst = append(dst, ProtoVersion, op, typ, uint8(len(name)))
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
-	return append(dst, name...)
-}
-
-// appendResponseHeader appends the 16-byte response frame header
-// (length prefix included) to dst; the value payload — count values at
-// width bytes — travels separately (net.Buffers scatter-gather). pad
-// is the version advertisement on server-emitted frames; v1 decoders
-// ignore the byte.
-func appendResponseHeader(dst []byte, status, typ, pad uint8, id uint32, count, width int) []byte {
-	frameLen := respHeaderLen + count*width
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersion, status, typ, pad)
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	return binary.LittleEndian.AppendUint32(dst, uint32(count))
-}
-
-// appendTracedRequestHeader appends a v2 request header: the v1 fixed
-// header at version ProtoVersionTraced, the 16-byte trace block, then
-// the name. The value payload travels separately.
-func appendTracedRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int, traceID, flags uint64) []byte {
-	frameLen := reqHeaderLen + TraceBlockLen + len(name) + count*width
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersionTraced, op, typ, uint8(len(name)))
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	dst = binary.LittleEndian.AppendUint64(dst, flags)
 	return append(dst, name...)
 }
 
-// appendTracedResponseHeader appends a v2 response header: pad byte =
-// span count, then the echoed trace block and the encoded span
-// records. The value payload travels separately. Spans beyond
-// maxFrameSpans are dropped (the count must fit the pad byte).
-func appendTracedResponseHeader(dst []byte, status, typ uint8, id uint32, count, width int, traceID, flags uint64, spans []telemetry.SpanRecord) []byte {
+// appendResponseHeader appends the fixed response header (length prefix
+// and trace id included) plus the encoded span records to dst; the
+// value payload — count values at width bytes — travels separately
+// (net.Buffers scatter-gather). Spans beyond maxFrameSpans are dropped
+// (the count must fit its header byte).
+func appendResponseHeader(dst []byte, status, typ uint8, id uint32, count, width int, traceID uint64, spans []telemetry.SpanRecord) []byte {
 	if len(spans) > maxFrameSpans {
 		spans = spans[:maxFrameSpans]
 	}
-	frameLen := respHeaderLen + TraceBlockLen + len(spans)*spanRecLen + count*width
+	frameLen := respHeaderLen + len(spans)*spanRecLen + count*width
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersionTraced, status, typ, uint8(len(spans)))
+	dst = append(dst, ProtoVersion, status, typ, uint8(len(spans)))
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	dst = binary.LittleEndian.AppendUint64(dst, flags)
 	return appendSpanRecords(dst, spans)
 }
 
@@ -374,11 +320,7 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	if len(req.Name) > 255 {
 		return dst, fmt.Errorf("%w: function name too long", ErrBadFrame)
 	}
-	if req.Traced {
-		dst = appendTracedRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width, req.TraceID, req.TraceFlags)
-	} else {
-		dst = appendRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width)
-	}
+	dst = appendRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width, req.TraceID)
 	return appendValues(dst, req.Bits, width), nil
 }
 
@@ -389,47 +331,45 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 // each; decode them with DecodeValuesInto. The proxy tier forwards
 // frames from this view without materializing a Request.
 type ParsedRequest struct {
-	Op         uint8
-	Type       uint8
-	ID         uint32
-	Count      int
-	Name       []byte
-	Payload    []byte
-	Traced     bool
-	TraceID    uint64
-	TraceFlags uint64
+	Op      uint8
+	Type    uint8
+	ID      uint32
+	Count   int
+	Name    []byte
+	Payload []byte
+	TraceID uint64
+}
+
+// checkVersion rejects a frame whose version byte is not ProtoVersion.
+// It runs before any length check, so a frame from an older build —
+// whose headers are shorter — fails with ErrBadVersion, not as a
+// truncated frame.
+func checkVersion(frame []byte) error {
+	if len(frame) > 0 && frame[0] != ProtoVersion {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadVersion, frame[0], ProtoVersion)
+	}
+	return nil
 }
 
 // ParseRequest validates a request frame (the bytes after the length
-// prefix) — version, opcode, type code, exact length consistency —
-// and returns a zero-copy view of it. Version 2 frames additionally
-// yield the trace block.
+// prefix) — version, header and trace id present, opcode, type code,
+// exact length consistency — and returns a zero-copy view of it.
 func ParseRequest(frame []byte) (ParsedRequest, error) {
 	var pr ParsedRequest
+	if err := checkVersion(frame); err != nil {
+		return pr, err
+	}
 	if len(frame) < reqHeaderLen {
 		return pr, fmt.Errorf("%w: request header truncated (%d bytes)", ErrBadFrame, len(frame))
 	}
-	hdr := reqHeaderLen
-	switch frame[0] {
-	case ProtoVersion:
-	case ProtoVersionTraced:
-		if len(frame) < reqHeaderLen+TraceBlockLen {
-			return pr, fmt.Errorf("%w: trace block truncated (%d bytes)", ErrBadFrame, len(frame))
-		}
-		pr.Traced = true
-		pr.TraceID = binary.LittleEndian.Uint64(frame[12:])
-		pr.TraceFlags = binary.LittleEndian.Uint64(frame[20:])
-		hdr += TraceBlockLen
-	default:
-		return pr, fmt.Errorf("%w: got %d, want <= %d", ErrBadVersion, frame[0], MaxProtoVersion)
-	}
+	pr.TraceID = binary.LittleEndian.Uint64(frame[12:])
 	pr.Op, pr.Type = frame[1], frame[2]
 	pr.ID = binary.LittleEndian.Uint32(frame[4:])
 	nameLen := int(frame[3])
 	pr.Count = int(binary.LittleEndian.Uint32(frame[8:]))
 	switch pr.Op {
 	case OpPing:
-		if nameLen != 0 || pr.Count != 0 || len(frame) != hdr {
+		if nameLen != 0 || pr.Count != 0 || len(frame) != reqHeaderLen {
 			return pr, fmt.Errorf("%w: ping carries a payload", ErrBadFrame)
 		}
 		return pr, nil
@@ -441,31 +381,12 @@ func ParseRequest(frame []byte) (ParsedRequest, error) {
 	if width == 0 {
 		return pr, fmt.Errorf("%w: unknown type code %d", ErrBadFrame, pr.Type)
 	}
-	if want := hdr + nameLen + pr.Count*width; len(frame) != want {
+	if want := reqHeaderLen + nameLen + pr.Count*width; len(frame) != want {
 		return pr, fmt.Errorf("%w: frame length %d, header implies %d", ErrBadFrame, len(frame), want)
 	}
-	pr.Name = frame[hdr : hdr+nameLen]
-	pr.Payload = frame[hdr+nameLen:]
+	pr.Name = frame[reqHeaderLen : reqHeaderLen+nameLen]
+	pr.Payload = frame[reqHeaderLen+nameLen:]
 	return pr, nil
-}
-
-// DecodeRequest parses a request frame (the bytes after the length
-// prefix) into an owning Request. It validates the version, opcode,
-// type code and that the payload length is exactly consistent with
-// nameLen and count.
-func DecodeRequest(frame []byte) (*Request, error) {
-	pr, err := ParseRequest(frame)
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{
-		Op: pr.Op, Type: pr.Type, ID: pr.ID, Name: string(pr.Name),
-		Traced: pr.Traced, TraceID: pr.TraceID, TraceFlags: pr.TraceFlags,
-	}
-	if pr.Op == OpEval {
-		req.Bits = decodeValues(pr.Payload, pr.Count, TypeWidth(pr.Type))
-	}
-	return req, nil
 }
 
 // DecodeValuesInto decodes len(dst) wire values from payload at the
@@ -478,52 +399,38 @@ func DecodeValuesInto(dst []uint32, payload []byte, width int) {
 
 // AppendResponse appends the wire encoding of resp to dst. A response
 // with an unknown type code must carry no values (error responses echo
-// the request's type code verbatim, which may be garbage). Traced
-// responses encode at v2 with resp.Spans; untraced ones encode at v1
-// with resp.Advert in the pad byte.
+// the request's type code verbatim, which may be garbage).
 func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	width := TypeWidth(resp.Type)
 	if width == 0 && len(resp.Bits) > 0 {
 		return dst, fmt.Errorf("%w: values with unknown type code %d", ErrBadFrame, resp.Type)
 	}
-	if resp.Traced {
-		dst = appendTracedResponseHeader(dst, resp.Status, resp.Type, resp.ID, len(resp.Bits), width, resp.TraceID, resp.TraceFlags, resp.Spans)
-	} else {
-		dst = appendResponseHeader(dst, resp.Status, resp.Type, resp.Advert, resp.ID, len(resp.Bits), width)
-	}
+	dst = appendResponseHeader(dst, resp.Status, resp.Type, resp.ID, len(resp.Bits), width, resp.TraceID, resp.Spans)
 	return appendValues(dst, resp.Bits, width), nil
 }
 
 // DecodeResponse parses a response frame (the bytes after the length
-// prefix). For v1 frames the pad byte lands in Advert; for v2 frames
-// the trace block and span records land in TraceID/TraceFlags/Spans.
+// prefix), span records included.
 func DecodeResponse(frame []byte) (*Response, error) {
+	if err := checkVersion(frame); err != nil {
+		return nil, err
+	}
 	if len(frame) < respHeaderLen {
 		return nil, fmt.Errorf("%w: response header truncated (%d bytes)", ErrBadFrame, len(frame))
 	}
 	resp := &Response{
-		Status: frame[1],
-		Type:   frame[2],
-		ID:     binary.LittleEndian.Uint32(frame[4:]),
+		Status:  frame[1],
+		Type:    frame[2],
+		ID:      binary.LittleEndian.Uint32(frame[4:]),
+		TraceID: binary.LittleEndian.Uint64(frame[12:]),
 	}
-	hdr := respHeaderLen
-	switch frame[0] {
-	case ProtoVersion:
-		resp.Advert = frame[3]
-	case ProtoVersionTraced:
-		nspans := int(frame[3])
-		hdr += TraceBlockLen + nspans*spanRecLen
-		if len(frame) < hdr {
-			return nil, fmt.Errorf("%w: trace block truncated (%d bytes, %d spans)", ErrBadFrame, len(frame), nspans)
-		}
-		resp.Traced = true
-		resp.TraceID = binary.LittleEndian.Uint64(frame[12:])
-		resp.TraceFlags = binary.LittleEndian.Uint64(frame[20:])
-		if nspans > 0 {
-			resp.Spans = decodeSpanRecords(nil, frame[respHeaderLen+TraceBlockLen:], nspans)
-		}
-	default:
-		return nil, fmt.Errorf("%w: got %d, want <= %d", ErrBadVersion, frame[0], MaxProtoVersion)
+	nspans := int(frame[3])
+	hdr := respHeaderLen + nspans*spanRecLen
+	if len(frame) < hdr {
+		return nil, fmt.Errorf("%w: span records truncated (%d bytes, %d spans)", ErrBadFrame, len(frame), nspans)
+	}
+	if nspans > 0 {
+		resp.Spans = decodeSpanRecords(nil, frame[respHeaderLen:], nspans)
 	}
 	count := int(binary.LittleEndian.Uint32(frame[8:]))
 	width := TypeWidth(resp.Type)
@@ -539,7 +446,8 @@ func DecodeResponse(frame []byte) (*Response, error) {
 	if want := hdr + count*width; len(frame) != want {
 		return nil, fmt.Errorf("%w: frame length %d, header implies %d", ErrBadFrame, len(frame), want)
 	}
-	resp.Bits = decodeValues(frame[hdr:], count, width)
+	resp.Bits = make([]uint32, count)
+	decodeValuesInto(resp.Bits, frame[hdr:], width)
 	return resp, nil
 }
 

@@ -25,7 +25,7 @@ import (
 type backend struct {
 	addr string
 	idx  int // position in Proxy.backends and in ring bitmasks
-	pool *clientPool
+	pool *server.Pool
 	m    *backendMetrics
 
 	healthy atomic.Bool

@@ -223,7 +223,7 @@ func New(cfg Config) (*Proxy, error) {
 		bk := &backend{
 			addr: addr,
 			idx:  i,
-			pool: newClientPool(addr, cfg.ConnsPerBackend, cfg.DialTimeout),
+			pool: server.NewPool(addr, cfg.ConnsPerBackend, cfg.DialTimeout),
 			m:    p.m.forBackend(addr),
 		}
 		bk.healthy.Store(true) // optimistic: probes and the data path demote
@@ -398,7 +398,7 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 	close(p.probeStop)
 	p.probeWG.Wait()
 	for _, bk := range p.backends {
-		bk.pool.close()
+		bk.pool.Close()
 	}
 	return err
 }
@@ -421,32 +421,27 @@ type pslot struct {
 	attempts int
 	tried    uint64 // bitmask of backend idx already attempted
 	bk       *backend
-	start    time.Time // admission (downstream latency); always set when traced
+	start    time.Time // admission (downstream latency)
 	issued   time.Time // last forward attempt (per-backend latency)
 
-	// Trace relay state. A traced slot accumulates the proxy's own
-	// span events plus whatever spans each backend attempt returned,
-	// and the final downstream response carries them all at v2. The
+	// Trace relay state. A traced slot (traceID != 0) accumulates the
+	// proxy's own span events plus whatever spans each backend attempt
+	// returned, and the final downstream response carries them all. The
 	// spans slice is reused across the slot's lifetimes, so steady-
 	// state tracing does not allocate either.
-	traced     bool
-	traceID    uint64
-	traceFlags uint64
-	spans      []telemetry.SpanRecord
+	traceID uint64
+	spans   []telemetry.SpanRecord
 }
 
 // localResp is a response the proxy answers without any upstream call:
-// pings, admission sheds, unknown functions, malformed verdicts.
-// Traced evals keep their trace context even on local verdicts, so a
-// shed still stitches into the caller's trace; pings always answer v1
-// (their pad-byte advertisement is how peers discover v2 support).
+// pings, admission sheds, unknown functions, malformed verdicts. It
+// echoes the request's trace id, so a shed still stitches into the
+// caller's trace.
 type localResp struct {
 	id      uint32
 	typ     uint8
 	status  uint8
-	traced  bool
 	traceID uint64
-	flags   uint64
 }
 
 // pconn is one downstream connection: a reader goroutine that
@@ -553,15 +548,15 @@ func (pc *pconn) readLoop() {
 			pc.locals <- localResp{id: pr.ID, status: server.StatusMalformed}
 			return
 		}
-		if pr.Traced {
+		if pr.TraceID != 0 {
 			p.m.TracedFrames.Inc()
 		}
 		if pr.Op == server.OpPing {
 			if p.draining.Load() {
-				pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown}
+				pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown, traceID: pr.TraceID}
 				return
 			}
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK}
+			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK, traceID: pr.TraceID}
 			continue
 		}
 		rk := p.lookup(pr.Type, pr.Name)
@@ -570,28 +565,22 @@ func (pc *pconn) readLoop() {
 				Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type, Status: server.StatusUnknownFunc,
 				ID: pr.ID, Count: uint32(pr.Count), Conn: pc.hint, TraceID: pr.TraceID, Note: "unknown-func",
 			})
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusUnknownFunc,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusUnknownFunc, traceID: pr.TraceID}
 			continue
 		}
 		if p.draining.Load() {
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown, traceID: pr.TraceID}
 			return
 		}
 		if pr.Count == 0 {
 			rk.km.Requests.Inc()
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK, traceID: pr.TraceID}
 			continue
 		}
-		// A traced frame reads the clock at admission entry so the
-		// admit span covers the shed checks and slot wait below;
-		// untraced frames keep the hot path clock-free.
-		var tRecv time.Time
-		if pr.Traced {
-			tRecv = time.Now()
-		}
+		// Admission reads the clock on entry, so the request latency and
+		// a traced frame's admit span cover the shed checks and slot wait
+		// below.
+		start := time.Now()
 		n := int64(pr.Count)
 		if p.inflight.Add(n) > p.cfg.MaxInflight {
 			p.inflight.Add(-n)
@@ -620,35 +609,20 @@ func (pc *pconn) readLoop() {
 		sl.dst = sl.dst[:pr.Count]
 		server.DecodeValuesInto(sl.src, pr.Payload, rk.width)
 		sl.attempts, sl.tried, sl.bk = 0, 0, nil
-		sl.traced, sl.traceID, sl.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
-		sl.spans = sl.spans[:0]
-		// Latency histograms are sampled 1-in-16: two clock reads per
-		// request (admission and issue) cost more than the rest of the
-		// proxy's per-request bookkeeping combined, and quantiles from
-		// a 1/16 sample are statistically indistinguishable at serving
-		// rates. A zero start marks an unsampled slot. Traced frames
-		// are always sampled — a trace with no proxy latency would be
-		// useless — and the *_sampled_total counters record how many
-		// observations each histogram actually received.
-		switch {
-		case pr.Traced:
-			now := time.Now()
-			sl.start = tRecv
+		sl.start, sl.traceID, sl.spans = start, pr.TraceID, sl.spans[:0]
+		if pr.TraceID != 0 {
 			sl.spans = append(sl.spans, telemetry.SpanRecord{
-				Start: tRecv.UnixNano(), Dur: now.Sub(tRecv).Nanoseconds(),
+				Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(),
 				Proc: telemetry.ProcProxy, Stage: telemetry.StageAdmit,
 			})
-		case nframes&15 == 0:
-			sl.start = time.Now()
-		default:
-			sl.start = time.Time{}
 		}
 		p.m.Requests.Inc()
 		p.m.Values.Add(uint64(pr.Count))
 		rk.km.Requests.Inc()
 		rk.km.Values.Add(uint64(pr.Count))
+		// Stamped with the admission time, so the record reads no clock.
 		p.flight.Record(&telemetry.WideEvent{
-			Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type,
+			Time: start.UnixNano(), Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type,
 			ID: pr.ID, Count: uint32(pr.Count), Conn: pc.hint, TraceID: pr.TraceID, Name: rk.name,
 		})
 		pc.outstanding.Add(1)
@@ -666,8 +640,7 @@ func (pc *pconn) readLoop() {
 				Name: rk.name, Note: "unrouted",
 			})
 			pc.releaseSlot(si, sl)
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy, traceID: pr.TraceID}
 		}
 	}
 }
@@ -686,8 +659,7 @@ func (pc *pconn) shed(pr *server.ParsedRequest, rk *routeKey, note string) {
 	if p.busyW.ObserveShed() {
 		p.flight.TriggerDump("busy-fraction")
 	}
-	pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy,
-		traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+	pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy, traceID: pr.TraceID}
 }
 
 // tryIssue forwards a slot to the next ring replica, walking until a
@@ -697,7 +669,7 @@ func (pc *pconn) shed(pr *server.ParsedRequest, rk *routeKey, note string) {
 func (pc *pconn) tryIssue(si int, sl *pslot) bool {
 	p := pc.p
 	var tWalk time.Time
-	if sl.traced {
+	if sl.traceID != 0 {
 		tWalk = time.Now()
 	}
 	for sl.attempts < p.maxAttempts {
@@ -721,31 +693,23 @@ func (pc *pconn) tryIssue(si int, sl *pslot) bool {
 		}
 		sl.attempts++
 		sl.bk = bk
-		cl, err := bk.pool.get()
+		cl, err := bk.pool.Get()
 		if err != nil {
 			bk.reportFailure(p)
 			continue
 		}
 		bk.m.Requests.Inc()
 		bk.m.Values.Add(uint64(sl.n))
-		if sl.traced {
+		sl.issued = time.Now()
+		if sl.traceID != 0 {
 			// The ring-walk span absorbs backend picking plus any pool
 			// dial the forward needed; its end is the issue timestamp.
-			now := time.Now()
 			sl.spans = append(sl.spans, telemetry.SpanRecord{
-				Start: tWalk.UnixNano(), Dur: now.Sub(tWalk).Nanoseconds(),
+				Start: tWalk.UnixNano(), Dur: sl.issued.Sub(tWalk).Nanoseconds(),
 				Proc: telemetry.ProcProxy, Stage: telemetry.StageRingWalk,
 			})
-			sl.issued = now
-			cl.GoTraced(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si), sl.traceID, sl.traceFlags)
-			return true
 		}
-		if !sl.start.IsZero() {
-			sl.issued = time.Now()
-		} else {
-			sl.issued = time.Time{}
-		}
-		cl.GoTagged(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si))
+		cl.GoTraced(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si), sl.traceID)
 		return true
 	}
 	return false
@@ -800,7 +764,7 @@ func (pc *pconn) writeLoop() {
 		pc.armWriteDeadline()
 		for {
 			if isLocal {
-				pc.writeRespTraced(l.id, l.typ, l.status, nil, l.traced, l.traceID, l.flags, nil)
+				pc.writeResp(l.id, l.typ, l.status, nil, l.traceID, nil)
 			} else {
 				pc.handleCall(call)
 			}
@@ -830,8 +794,9 @@ func (pc *pconn) handleCall(call *server.Call) {
 	si := int(call.Tag)
 	sl := &pc.slots[si]
 	bk := sl.bk
-	if sl.traced {
-		pc.noteForward(sl, call)
+	now := time.Now()
+	if sl.traceID != 0 {
+		pc.noteForward(sl, call, now)
 	}
 	if call.Err != nil {
 		bk.reportFailure(p)
@@ -839,17 +804,14 @@ func (pc *pconn) handleCall(call *server.Call) {
 			return
 		}
 		p.m.BusyUpstream.Inc()
-		pc.finish(si, sl, server.StatusBusy, nil)
+		pc.finish(si, sl, server.StatusBusy, nil, now)
 		return
 	}
 	bk.reportSuccess()
-	if !sl.issued.IsZero() {
-		bk.m.Lat.ObserveDuration(time.Since(sl.issued))
-		bk.m.LatSampled.Inc()
-	}
+	bk.m.Lat.ObserveDuration(now.Sub(sl.issued))
 	switch call.Status {
 	case server.StatusOK:
-		pc.finish(si, sl, server.StatusOK, call.Dst)
+		pc.finish(si, sl, server.StatusOK, call.Dst, now)
 	case server.StatusBusy, server.StatusShutdown:
 		bk.m.Busy.Inc()
 		if call.Status == server.StatusShutdown {
@@ -861,64 +823,53 @@ func (pc *pconn) handleCall(call *server.Call) {
 			return
 		}
 		p.m.BusyUpstream.Inc()
-		pc.finish(si, sl, server.StatusBusy, nil)
+		pc.finish(si, sl, server.StatusBusy, nil, now)
 	default:
 		// Deterministic verdicts (unknown function/type): every
 		// replica would answer identically; forward verbatim.
-		pc.finish(si, sl, call.Status, nil)
+		pc.finish(si, sl, call.Status, nil, now)
 	}
 }
 
-// noteForward closes the span for the forward attempt that just
-// settled (the first attempt is a "forward", later ones "retry") and
-// splices in whatever spans the backend's response carried, so the
+// noteForward closes, at now, the span for the forward attempt that
+// just settled (the first attempt is a "forward", later ones "retry")
+// and splices in whatever spans the backend's response carried, so the
 // downstream caller receives queue/kernel detail from every backend
 // the frame visited.
-func (pc *pconn) noteForward(sl *pslot, call *server.Call) {
+func (pc *pconn) noteForward(sl *pslot, call *server.Call, now time.Time) {
 	stage := telemetry.StageForward
 	if sl.attempts > 1 {
 		stage = telemetry.StageRetry
 	}
 	sl.spans = append(sl.spans, telemetry.SpanRecord{
-		Start: sl.issued.UnixNano(), Dur: time.Since(sl.issued).Nanoseconds(),
+		Start: sl.issued.UnixNano(), Dur: now.Sub(sl.issued).Nanoseconds(),
 		Proc: telemetry.ProcProxy, Stage: stage,
 	})
 	sl.spans = append(sl.spans, call.Spans...)
 }
 
-// finish frames a slot's final response and releases it.
-func (pc *pconn) finish(si int, sl *pslot, status uint8, bits []uint32) {
-	if !sl.start.IsZero() {
-		lat := time.Since(sl.start)
-		pc.p.m.Lat.ObserveDuration(lat)
-		pc.p.m.LatSampled.Inc()
-		pc.p.flight.Record(&telemetry.WideEvent{
-			Kind: telemetry.EvResponse, Op: server.OpEval, Type: sl.typ, Status: status,
-			ID: sl.id, Count: uint32(sl.n), Conn: pc.hint, TraceID: sl.traceID,
-			LatNs: lat.Nanoseconds(), Name: sl.rk.name,
-		})
-	}
-	pc.writeRespTraced(sl.id, sl.typ, status, bits, sl.traced, sl.traceID, sl.traceFlags, sl.spans)
+// finish frames a slot's final response, settled at now, and releases
+// it. Every finished slot is timed and recorded in the flight ring.
+func (pc *pconn) finish(si int, sl *pslot, status uint8, bits []uint32, now time.Time) {
+	lat := now.Sub(sl.start)
+	pc.p.m.Lat.ObserveDuration(lat)
+	pc.p.flight.Record(&telemetry.WideEvent{
+		Time: now.UnixNano(), Kind: telemetry.EvResponse, Op: server.OpEval, Type: sl.typ, Status: status,
+		ID: sl.id, Count: uint32(sl.n), Conn: pc.hint, TraceID: sl.traceID,
+		LatNs: lat.Nanoseconds(), Name: sl.rk.name,
+	})
+	pc.writeResp(sl.id, sl.typ, status, bits, sl.traceID, sl.spans)
 	pc.releaseSlot(si, sl)
 }
 
-// writeResp frames one untraced (v1) response into the buffered
-// writer.
-func (pc *pconn) writeResp(id uint32, typ, status uint8, bits []uint32) {
-	pc.writeRespTraced(id, typ, status, bits, false, 0, 0, nil)
-}
-
-// writeRespTraced frames one response into the buffered writer: at v2
-// relaying the accumulated spans when traced, else at v1 with the
-// proxy's own version advertisement in the pad byte (so downstream
-// clients negotiate v2 against the proxy exactly as they would against
-// a backend). Write failures poison the connection but the loop keeps
-// consuming and discarding, so upstream completions are never blocked
-// on a dead downstream.
-func (pc *pconn) writeRespTraced(id uint32, typ, status uint8, bits []uint32, traced bool, traceID, flags uint64, spans []telemetry.SpanRecord) {
+// writeResp frames one response into the buffered writer, echoing the
+// request's trace id and relaying the spans a traced slot collected.
+// Write failures poison the connection but the loop keeps consuming
+// and discarding, so upstream completions are never blocked on a dead
+// downstream.
+func (pc *pconn) writeResp(id uint32, typ, status uint8, bits []uint32, traceID uint64, spans []telemetry.SpanRecord) {
 	pc.resp.ID, pc.resp.Type, pc.resp.Status, pc.resp.Bits = id, typ, status, bits
-	pc.resp.Traced, pc.resp.TraceID, pc.resp.TraceFlags, pc.resp.Spans = traced, traceID, flags, spans
-	pc.resp.Advert = server.MaxProtoVersion
+	pc.resp.TraceID, pc.resp.Spans = traceID, spans
 	var err error
 	pc.buf, err = server.AppendResponse(pc.buf[:0], &pc.resp)
 	if err != nil || pc.failed {

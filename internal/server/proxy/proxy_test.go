@@ -14,6 +14,7 @@ import (
 	"rlibm32/internal/libm"
 	"rlibm32/internal/perf"
 	"rlibm32/internal/server"
+	"rlibm32/internal/telemetry"
 )
 
 // startBackend runs a real rlibmd server. addr "" picks a free port;
@@ -333,8 +334,7 @@ func TestProxyPipelinedConcurrency(t *testing.T) {
 		if sl.dst == nil {
 			sl.dst = make([]uint32, batch)
 		}
-		call := c.Go(server.TFloat32, "exp", sl.dst, in[lo:lo+batch], done)
-		call.Tag = uint64(si)
+		c.GoTagged(server.TFloat32, "exp", sl.dst, in[lo:lo+batch], done, uint64(si))
 	}
 	seq := 0
 	for si := 0; si < depth; si++ {
@@ -363,6 +363,49 @@ func TestProxyPipelinedConcurrency(t *testing.T) {
 			issue(si, seq)
 			seq++
 		}
+	}
+}
+
+// TestProxyLatencyAlwaysObserved pins always-on timing: after N
+// untraced requests through the proxy, the downstream latency
+// histogram has observed N, the per-backend histograms sum to N, and
+// the flight ring holds one response event per request.
+func TestProxyLatencyAlwaysObserved(t *testing.T) {
+	a1, _ := startBackend(t, "")
+	a2, _ := startBackend(t, "")
+	p, paddr := startProxy(t, Config{Backends: []string{a1, a2}})
+	c, err := server.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	works := float32Workloads(16) // every float32 key: both backends forward
+	const n = 64
+	for i := 0; i < n; i++ {
+		w := &works[i%len(works)]
+		if _, status, err := c.EvalBits(server.TFloat32, w.name, nil, w.in); err != nil || status != server.StatusOK {
+			t.Fatalf("request %d: status %s err %v", i, server.StatusText(status), err)
+		}
+	}
+	if got := p.m.Lat.Count(); got != n {
+		t.Errorf("rlibmproxy_request_latency_ns count = %d, want %d", got, n)
+	}
+	var perBackend uint64
+	for _, bk := range p.backends {
+		perBackend += bk.m.Lat.Count()
+	}
+	if perBackend != n {
+		t.Errorf("per-backend latency counts sum to %d, want %d", perBackend, n)
+	}
+	responses := 0
+	for _, ev := range p.Flight().Snapshot() {
+		if ev.Kind == telemetry.EvResponse {
+			responses++
+		}
+	}
+	if responses != n {
+		t.Errorf("flight ring holds %d response events, want %d", responses, n)
 	}
 }
 

@@ -26,7 +26,6 @@ type backendMetrics struct {
 	Probes       *telemetry.Counter   // health probes sent
 	Healthy      *telemetry.Gauge     // 1 while in the ring, 0 while ejected
 	Lat          *telemetry.Histogram // forward latency ns (issue → response)
-	LatSampled   *telemetry.Counter   // observations Lat actually received
 }
 
 // keyMetrics is the per-(type, function) downstream handle block.
@@ -56,8 +55,7 @@ type Metrics struct {
 	Draining *telemetry.Gauge     // 1 while a graceful drain is running
 	Lat      *telemetry.Histogram // downstream request latency ns (admit → response queued)
 
-	TracedFrames *telemetry.Counter // downstream frames carrying a v2 trace context
-	LatSampled   *telemetry.Counter // observations Lat actually received
+	TracedFrames *telemetry.Counter // downstream frames carrying a nonzero trace id
 	flightDumps  *telemetry.Counter // flight-recorder anomaly dumps written
 }
 
@@ -92,9 +90,7 @@ func newMetrics() *Metrics {
 		Lat: reg.Histogram("rlibmproxy_request_latency_ns",
 			"downstream request latency, admission to response queued, in nanoseconds"),
 		TracedFrames: reg.Counter("rlibmproxy_traced_frames_total",
-			"downstream request frames carrying a v2 trace context"),
-		LatSampled: reg.Counter("rlibmproxy_request_latency_sampled_total",
-			"requests the latency histogram observed (traced frames plus the 1-in-16 sample)"),
+			"downstream request frames carrying a nonzero trace id"),
 		flightDumps: reg.Counter("rlibmproxy_flight_dumps_total",
 			"flight-recorder anomaly dumps written"),
 	}
@@ -124,8 +120,6 @@ func (m *Metrics) forBackend(addr string) *backendMetrics {
 			"1 while the backend is in the ring, 0 while ejected", "backend", addr),
 		Lat: reg.Histogram("rlibmproxy_backend_latency_ns",
 			"forward latency per backend, issue to response, in nanoseconds", "backend", addr),
-		LatSampled: reg.Counter("rlibmproxy_backend_latency_sampled_total",
-			"forwards the per-backend latency histogram observed (traced plus the 1-in-16 sample)", "backend", addr),
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // TestProxyTraceStitch drives a traced request through the full relay
-// — client → proxy → backend — and checks that the response carries
+// — client → proxy → backend — as the first call on a fresh
+// connection, with no Ping first, and checks that the response carries
 // one trace id with spans from both the proxy tier (admit, ringwalk,
 // forward) and the backend tier (queue, kernel): the stitched
 // cross-process timeline the flight tooling renders.
@@ -23,21 +24,12 @@ func TestProxyTraceStitch(t *testing.T) {
 	}
 	defer c.Close()
 
-	// The ping response's pad byte advertises v2; traced frames flow
-	// only after the client has seen it.
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if v := c.PeerVersion(); v != server.MaxProtoVersion {
-		t.Fatalf("proxy advertised version %d, want %d", v, server.MaxProtoVersion)
-	}
-
 	in, want := expVec(64)
 	dst := make([]uint32, len(in))
 	done := make(chan *server.Call, 1)
 	const traceID = 0xfeedc0de
 
-	call := <-c.GoTraced(server.TFloat32, "exp", dst, in, done, 0, traceID, 0).Done
+	call := <-c.GoTraced(server.TFloat32, "exp", dst, in, done, 0, traceID).Done
 	if call.Err != nil || call.Status != server.StatusOK {
 		t.Fatalf("traced call: status %s err %v", server.StatusText(call.Status), call.Err)
 	}

@@ -291,40 +291,32 @@ func (w *connWriter) admit() {
 	w.outstanding.Add(1)
 }
 
-// add queues one response frame into the pending writev. Untraced
-// responses go out as v1 frames with the server's MaxProtoVersion
-// advertisement in the pad byte (v1 decoders never read it); traced
-// ones as v2 frames echoing the trace block plus the backend stage
-// spans stamped by the dispatcher.
+// add queues one response frame into the pending writev, echoing the
+// request's trace id. A request that reached the kernel is recorded in
+// the flight ring with its latency, and if it was traced its response
+// carries the backend stage spans stamped by the dispatcher.
 func (w *connWriter) add(p *pending) {
 	width := TypeWidth(p.typ)
 	count := 0
 	if p.status == StatusOK {
 		count = len(p.dst)
 	}
-	off := len(w.hdrs)
-	if p.traced {
-		var spans []telemetry.SpanRecord
-		var lat int64
-		if p.tKern1 != 0 {
-			startNs := p.start.UnixNano()
+	var spans []telemetry.SpanRecord
+	if p.tKern1 != 0 {
+		startNs := p.start.UnixNano()
+		if p.tKern0 != 0 {
 			w.spanScratch[0] = telemetry.SpanRecord{Start: startNs, Dur: p.tKern0 - startNs, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue}
 			w.spanScratch[1] = telemetry.SpanRecord{Start: p.tKern0, Dur: p.tKern1 - p.tKern0, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}
 			spans = w.spanScratch[:]
-			lat = p.tKern1 - startNs
 		}
-		w.hdrs = appendTracedResponseHeader(w.hdrs, p.status, p.typ, p.id, count, width, p.traceID, p.traceFlags, spans)
-		name := ""
-		if p.ks != nil {
-			name = p.ks.key.name
-		}
+		// Stamped with the kernel exit time, so the record reads no clock.
 		w.s.flight.Record(&telemetry.WideEvent{
-			Kind: telemetry.EvResponse, Op: OpEval, Type: p.typ, Status: p.status,
-			ID: p.id, Count: uint32(count), TraceID: p.traceID, LatNs: lat, Name: name,
+			Time: p.tKern1, Kind: telemetry.EvResponse, Op: OpEval, Type: p.typ, Status: p.status,
+			ID: p.id, Count: uint32(count), TraceID: p.traceID, LatNs: p.tKern1 - startNs, Name: p.ks.key.name,
 		})
-	} else {
-		w.hdrs = appendResponseHeader(w.hdrs, p.status, p.typ, MaxProtoVersion, p.id, count, width)
 	}
+	off := len(w.hdrs)
+	w.hdrs = appendResponseHeader(w.hdrs, p.status, p.typ, p.id, count, width, p.traceID, spans)
 	w.bufs = append(w.bufs, w.hdrs[off:len(w.hdrs):len(w.hdrs)])
 	w.nbytes += int64(len(w.hdrs) - off)
 	if count > 0 {
@@ -466,10 +458,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			// connection cannot continue either way).
 			if errors.Is(err, ErrFrameSize) {
 				s.m.Malformed.Add(1)
-				s.respond(w, 0, 0, StatusTooLarge)
+				s.respond(w, &ParsedRequest{}, StatusTooLarge)
 			} else if errors.Is(err, ErrBadFrame) {
 				s.m.Malformed.Add(1)
-				s.respond(w, 0, 0, StatusMalformed)
+				s.respond(w, &ParsedRequest{}, StatusMalformed)
 			}
 			return
 		}
@@ -478,27 +470,25 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.malformed(w, frame)
 			return
 		}
-		if pr.Traced {
+		if pr.TraceID != 0 {
 			s.m.TracedFrames.Add(1)
 		}
 		if pr.Op == OpPing {
 			// A draining server is alive but not ready: answering pings
 			// with SHUTDOWN (instead of OK) lets health probes eject it
 			// before its listener disappears, so a fleet proxy reroutes
-			// new traffic while in-flight requests finish. Ping responses
-			// are always v1 — their pad-byte advertisement is how peers
-			// discover v2 support.
+			// new traffic while in-flight requests finish.
 			if s.draining.Load() {
-				s.respond(w, pr.ID, pr.Type, StatusShutdown)
+				s.respond(w, &pr, StatusShutdown)
 				return
 			}
-			s.respond(w, pr.ID, pr.Type, StatusOK)
+			s.respond(w, &pr, StatusOK)
 			continue
 		}
 		s.m.Requests.Add(1)
 		if s.draining.Load() {
 			s.m.ErrFrames.Add(1)
-			s.respondTraced(w, &pr, StatusShutdown)
+			s.respond(w, &pr, StatusShutdown)
 			return
 		}
 		ks := s.disp.lookup(pr.Type, pr.Name)
@@ -508,7 +498,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type, Status: StatusUnknownFunc,
 				ID: pr.ID, Count: uint32(pr.Count), Conn: connID, TraceID: pr.TraceID, Note: "unknown-func",
 			})
-			s.respondTraced(w, &pr, StatusUnknownFunc)
+			s.respond(w, &pr, StatusUnknownFunc)
 			continue
 		}
 		s.flight.Record(&telemetry.WideEvent{
@@ -519,14 +509,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			if ks.fm != nil {
 				ks.fm.Requests.Add(1)
 			}
-			s.respondTraced(w, &pr, StatusOK)
+			s.respond(w, &pr, StatusOK)
 			continue
 		}
 		p := getPending(pr.Count)
 		decodeValuesInto(p.src, pr.Payload, TypeWidth(pr.Type))
 		p.ks, p.out, p.start = ks, w, time.Now()
-		p.id, p.typ = pr.ID, pr.Type
-		p.traced, p.traceID, p.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
+		p.id, p.typ, p.traceID = pr.ID, pr.Type, pr.TraceID
 		w.admit()
 		if st := s.disp.submit(p); st != StatusOK {
 			s.m.ErrFrames.Add(1)
@@ -550,19 +539,13 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // respond enqueues a payload-free response (ping, empty eval, or an
-// error status) through the writer, in arrival order with the data
-// path.
-func (s *Server) respond(w *connWriter, id uint32, typ, status uint8) {
-	s.respondTraced(w, &ParsedRequest{ID: id, Type: typ}, status)
-}
-
-// respondTraced is respond for an eval request, carrying its trace
-// context, so error statuses for traced frames still echo the trace
-// block (the proxy relays them downstream under the same trace id).
-func (s *Server) respondTraced(w *connWriter, pr *ParsedRequest, status uint8) {
+// error status) to pr through the writer, in arrival order with the
+// data path. It echoes pr's trace id, so an error status for a traced
+// frame still stitches into its trace (the proxy relays it downstream
+// under the same trace id).
+func (s *Server) respond(w *connWriter, pr *ParsedRequest, status uint8) {
 	p := getPending(0)
-	p.id, p.typ, p.status = pr.ID, pr.Type, status
-	p.traced, p.traceID, p.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
+	p.id, p.typ, p.status, p.traceID = pr.ID, pr.Type, status, pr.TraceID
 	p.out = w
 	w.admit()
 	w.respq <- p
@@ -577,5 +560,5 @@ func (s *Server) malformed(w *connWriter, frame []byte) {
 		id = binary.LittleEndian.Uint32(frame[4:])
 	}
 	s.flight.Record(&telemetry.WideEvent{Kind: telemetry.EvMalformed, ID: id})
-	s.respond(w, id, 0, StatusMalformed)
+	s.respond(w, &ParsedRequest{ID: id}, StatusMalformed)
 }

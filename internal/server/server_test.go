@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -93,6 +95,70 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	}
 	if got := s.Metrics().Malformed.Load(); got != 1 {
 		t.Errorf("malformed counter = %d, want 1", got)
+	}
+}
+
+// TestForeignVersionRejected pins the one-version rule on live peers:
+// rlibmd answers a request frame carrying any version byte other than
+// ProtoVersion — an older build's 1 or 2 included — with MALFORMED and
+// closes the connection, and the client reader fails a response frame
+// carrying one with ErrBadVersion.
+func TestForeignVersionRejected(t *testing.T) {
+	s, addr := startServer(t, Config{Workers: 2})
+	valid, _ := AppendRequest(nil, &Request{Op: OpEval, Type: TFloat32, Name: "exp", ID: 5, Bits: []uint32{1}})
+	for i, ver := range []byte{1, 2, ProtoVersion + 1, 0xff} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		frame := append([]byte(nil), valid...)
+		frame[4] = ver
+		conn.Write(frame)
+		br := bufio.NewReader(conn)
+		body, _, err := readFrame(br, nil, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("version %d: expected an error frame before close: %v", ver, err)
+		}
+		if resp, err := DecodeResponse(body); err != nil || resp.Status != StatusMalformed {
+			t.Errorf("version %d: response %+v, err %v; want MALFORMED", ver, resp, err)
+		}
+		if _, _, err := readFrame(br, nil, DefaultMaxFrame); err == nil {
+			t.Errorf("version %d: connection stayed open", ver)
+		}
+		conn.Close()
+		if got := s.Metrics().Malformed.Load(); got != uint64(i+1) {
+			t.Errorf("version %d: malformed counter = %d, want %d", ver, got, i+1)
+		}
+	}
+
+	for _, ver := range []byte{1, 2, ProtoVersion + 1} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, _ := AppendResponse(nil, &Response{Status: StatusOK, Type: TFloat32, ID: 1, Bits: []uint32{2}})
+		resp[4] = ver
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			go io.Copy(io.Discard, conn)
+			conn.Write(resp)
+			time.Sleep(100 * time.Millisecond)
+		}()
+		c, err := DialTimeout(ln.Addr().String(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := <-c.GoTagged(TFloat32, "exp", nil, []uint32{1}, nil, 0).Done
+		if !errors.Is(call.Err, ErrBadVersion) {
+			t.Errorf("client reader, version %d: err = %v, want ErrBadVersion", ver, call.Err)
+		}
+		c.Close()
+		ln.Close()
 	}
 }
 

@@ -37,7 +37,7 @@ type Metrics struct {
 	ErrFrames     *telemetry.Counter // error responses sent (any non-OK status)
 	Batches       *telemetry.Counter // kernel calls (one per evaluated request)
 	BatchedValues *telemetry.Counter // values across all kernel calls
-	TracedFrames  *telemetry.Counter // v2 request frames carrying a trace context
+	TracedFrames  *telemetry.Counter // request frames carrying a nonzero trace id
 
 	batchSize    *telemetry.Histogram // values per kernel call
 	shedValues   *telemetry.Counter   // values refused by admission control
@@ -70,7 +70,7 @@ func newMetrics(keys []batchKey) *Metrics {
 		BatchedValues: reg.Counter("rlibmd_batched_values_total",
 			"values across all kernel calls"),
 		TracedFrames: reg.Counter("rlibmd_traced_frames_total",
-			"request frames carrying a v2 trace context"),
+			"request frames carrying a nonzero trace id"),
 		batchSize: reg.Histogram("rlibmd_batch_size",
 			"values per kernel call (power-of-two buckets)"),
 		shedValues: reg.Counter("rlibmd_shed_values_total",

@@ -7,57 +7,41 @@ import (
 	"rlibm32/internal/telemetry"
 )
 
-// TestTracedRequestRoundTrip checks that a v2 request frame carries its
-// trace block through encode→parse unchanged, and that v1 frames keep
-// parsing exactly as before (Traced false, no trace fields).
+// TestTracedRequestRoundTrip checks that a request frame carries its
+// trace id through encode→parse unchanged, with 0 meaning untraced, and
+// that every frame goes out at ProtoVersion.
 func TestTracedRequestRoundTrip(t *testing.T) {
 	cases := []*Request{
-		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 7, Bits: []uint32{0x3f800000},
-			Traced: true, TraceID: 0xdeadbeefcafef00d, TraceFlags: 0x1},
-		{Op: OpEval, Type: TPosit16, Name: "ln", ID: 1, Bits: []uint32{1, 2, 3},
-			Traced: true, TraceID: 1, TraceFlags: 0},
-		{Op: OpPing, Traced: true, TraceID: 42, TraceFlags: 7},
-		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: []uint32{5}}, // v1 control
+		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 7, Bits: []uint32{0x3f800000}, TraceID: 0xdeadbeefcafef00d},
+		{Op: OpEval, Type: TPosit16, Name: "ln", ID: 1, Bits: []uint32{1, 2, 3}, TraceID: 1},
+		{Op: OpPing, TraceID: 42},
+		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: []uint32{5}}, // untraced
 	}
 	for _, req := range cases {
 		enc, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", req, err)
 		}
-		if want := uint8(ProtoVersion); req.Traced {
-			want = ProtoVersionTraced
-			if enc[4] != want {
-				t.Errorf("traced frame version byte %d, want %d", enc[4], want)
-			}
-		} else if enc[4] != want {
-			t.Errorf("v1 frame version byte %d, want %d", enc[4], want)
+		if enc[4] != ProtoVersion {
+			t.Errorf("frame version byte %d, want %d", enc[4], ProtoVersion)
 		}
 		pr, err := ParseRequest(enc[4:])
 		if err != nil {
 			t.Fatalf("parse %+v: %v", req, err)
 		}
-		if pr.Traced != req.Traced || pr.TraceID != req.TraceID || pr.TraceFlags != req.TraceFlags {
-			t.Errorf("trace context: got (%v %#x %#x) want (%v %#x %#x)",
-				pr.Traced, pr.TraceID, pr.TraceFlags, req.Traced, req.TraceID, req.TraceFlags)
+		if pr.TraceID != req.TraceID {
+			t.Errorf("trace id: got %#x want %#x", pr.TraceID, req.TraceID)
 		}
 		if pr.Op != req.Op || pr.Type != req.Type || pr.ID != req.ID {
 			t.Errorf("header mismatch: got %+v want %+v", pr, req)
 		}
-		got, err := DecodeRequest(enc[4:])
-		if err != nil {
-			t.Fatalf("decode %+v: %v", req, err)
-		}
-		if got.Traced != req.Traced || got.TraceID != req.TraceID || got.TraceFlags != req.TraceFlags {
-			t.Errorf("DecodeRequest trace context: got %+v want %+v", got, req)
-		}
 	}
 }
 
-// TestTracedResponseRoundTrip checks that a v2 response echoes the
-// trace block and span records exactly, that the span count saturates
-// at the pad byte's capacity, and that the v1 pad-byte advertisement is
-// surfaced without disturbing any v1 semantics — the mechanism that
-// lets old peers ignore the whole extension.
+// TestTracedResponseRoundTrip checks that a response echoes the trace
+// id and span records exactly, that the span count saturates at its
+// header byte's capacity, and that an untraced response carries no
+// spans.
 func TestTracedResponseRoundTrip(t *testing.T) {
 	spans := []telemetry.SpanRecord{
 		{Start: 1000, Dur: 70, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue},
@@ -65,7 +49,7 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 	}
 	resp := &Response{
 		Status: StatusOK, Type: TFloat32, ID: 7, Bits: []uint32{0x40000000, 0x3f000000},
-		Traced: true, TraceID: 0xbeef, TraceFlags: 3, Spans: spans,
+		TraceID: 0xbeef, Spans: spans,
 	}
 	enc, err := AppendResponse(nil, resp)
 	if err != nil {
@@ -75,8 +59,8 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Traced || got.TraceID != resp.TraceID || got.TraceFlags != resp.TraceFlags {
-		t.Errorf("trace context: got %+v want %+v", got, resp)
+	if got.TraceID != resp.TraceID {
+		t.Errorf("trace id: got %#x want %#x", got.TraceID, resp.TraceID)
 	}
 	if len(got.Spans) != len(spans) {
 		t.Fatalf("spans: got %d want %d", len(got.Spans), len(spans))
@@ -90,12 +74,12 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 		t.Errorf("payload mismatch: got %+v want %+v", got, resp)
 	}
 
-	// Span count saturates at the pad byte's range.
+	// Span count saturates at its header byte's range.
 	big := make([]telemetry.SpanRecord, maxFrameSpans+20)
 	for i := range big {
 		big[i] = telemetry.SpanRecord{Start: int64(i), Proc: telemetry.ProcProxy, Stage: telemetry.StageForward}
 	}
-	enc, err = AppendResponse(nil, &Response{Status: StatusOK, Traced: true, TraceID: 1, Spans: big})
+	enc, err = AppendResponse(nil, &Response{Status: StatusOK, TraceID: 1, Spans: big})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,140 +91,85 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 		t.Errorf("oversized span list: got %d spans back, want truncation to %d", len(got.Spans), maxFrameSpans)
 	}
 
-	// A v1 response whose pad byte carries a version advertisement must
-	// decode identically to one whose pad byte is zero, advert aside:
-	// that byte is invisible to pre-tracing decoders.
-	adv := &Response{Status: StatusOK, Type: TFloat32, ID: 3, Advert: MaxProtoVersion, Bits: []uint32{9}}
-	enc, err = AppendResponse(nil, adv)
+	enc, err = AppendResponse(nil, &Response{Status: StatusOK, Type: TFloat32, ID: 3, Bits: []uint32{9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc[4] != ProtoVersion {
-		t.Fatalf("advertising response must stay v1, got version %d", enc[4])
-	}
 	got, err = DecodeResponse(enc[4:])
 	if err != nil {
-		t.Fatalf("v1 decoder rejected advertising response: %v", err)
+		t.Fatal(err)
 	}
-	if got.Traced || got.Advert != MaxProtoVersion || got.Status != StatusOK || got.ID != 3 || len(got.Bits) != 1 {
-		t.Errorf("advertising response decoded as %+v", got)
+	if got.TraceID != 0 || len(got.Spans) != 0 || got.ID != 3 || len(got.Bits) != 1 {
+		t.Errorf("untraced response decoded as %+v", got)
 	}
 }
 
-// TestTracedFrameErrors checks the malformed-frame edges the trace
-// extension adds: truncated trace blocks, span counts that overrun the
-// frame, and version bytes beyond what we speak.
+// TestTracedFrameErrors checks the malformed-frame edges of the trace
+// fields: a truncated trace id, span counts that overrun the frame, and
+// every version byte other than ProtoVersion — an older build's 1 and
+// 2 included — rejected with ErrBadVersion rather than misparsed.
 func TestTracedFrameErrors(t *testing.T) {
 	req, _ := AppendRequest(nil, &Request{
-		Op: OpEval, Type: TFloat32, Name: "exp", Bits: []uint32{1},
-		Traced: true, TraceID: 5, TraceFlags: 0,
+		Op: OpEval, Type: TFloat32, Name: "exp", Bits: []uint32{1}, TraceID: 5,
 	})
 	frame := req[4:]
 
 	reqCases := map[string][]byte{
-		"trace block truncated": frame[:reqHeaderLen+TraceBlockLen-3],
-		"future version":        mutate(frame, 0, MaxProtoVersion+1),
-		"v2 length mismatch":    frame[:len(frame)-1],
+		"trace block truncated": frame[:reqHeaderLen-3],
+		"length mismatch":       frame[:len(frame)-1],
 	}
 	for name, f := range reqCases {
-		if _, err := ParseRequest(f); err == nil {
-			t.Errorf("%s: ParseRequest accepted malformed frame", name)
+		if _, err := ParseRequest(f); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: ParseRequest err = %v, want ErrBadFrame", name, err)
 		}
-	}
-	if _, err := ParseRequest(mutate(frame, 0, MaxProtoVersion+1)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("future version: err = %v, want ErrBadVersion", err)
 	}
 
 	resp, _ := AppendResponse(nil, &Response{
-		Status: StatusOK, Type: TFloat32, ID: 1, Bits: []uint32{2},
-		Traced: true, TraceID: 5,
+		Status: StatusOK, Type: TFloat32, ID: 1, Bits: []uint32{2}, TraceID: 5,
 		Spans: []telemetry.SpanRecord{{Start: 1, Dur: 1, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}},
 	})
 	rframe := resp[4:]
 	respCases := map[string][]byte{
+		"trace block truncated":  rframe[:respHeaderLen-3],
 		"span records truncated": rframe[:len(rframe)-5],
 		"span count overruns":    mutate(rframe, 3, 200), // claims 200 spans, frame has 1
-		"future version":         mutate(rframe, 0, MaxProtoVersion+1),
 	}
 	for name, f := range respCases {
-		if _, err := DecodeResponse(f); err == nil {
-			t.Errorf("%s: DecodeResponse accepted malformed frame", name)
+		if _, err := DecodeResponse(f); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: DecodeResponse err = %v, want ErrBadFrame", name, err)
+		}
+	}
+
+	for _, ver := range []byte{0, 1, 2, ProtoVersion + 1, 0xff} {
+		if _, err := ParseRequest(mutate(frame, 0, ver)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("request version %d: err = %v, want ErrBadVersion", ver, err)
+		}
+		if _, err := DecodeResponse(mutate(rframe, 0, ver)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("response version %d: err = %v, want ErrBadVersion", ver, err)
 		}
 	}
 }
 
-// FuzzTracedFrame fuzzes the v2 encode→decode path: arbitrary trace
-// ids, flags and span payloads must round-trip exactly, and arbitrary
-// mutations of a valid traced frame must never panic the parsers.
+// FuzzTracedFrame runs checkFrameRoundTrip on a float32 exp eval frame
+// over arbitrary trace ids, span counts and payloads: the trace id and
+// the span records must round-trip exactly, and one-byte mutations of
+// either frame must never panic the parsers. FuzzFrameRoundTrip holds
+// the same seeds with the header fields free as well.
 func FuzzTracedFrame(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint8(3), []byte{1, 2, 3}, -1, byte(0))
-	f.Add(uint64(0xffffffffffffffff), uint64(7), uint8(0), []byte{}, 0, byte(99))
-	f.Add(uint64(0xbeef), uint64(1), uint8(250), []byte{0, 0, 128, 63}, 4, byte(2))
-	f.Fuzz(func(t *testing.T, traceID, flags uint64, nspans uint8, payload []byte, mutIdx int, mutVal byte) {
-		bits := make([]uint32, len(payload)/4)
-		for i := range bits {
-			for j := 0; j < 4; j++ {
-				bits[i] |= uint32(payload[i*4+j]) << (8 * j)
-			}
-		}
-		spans := make([]telemetry.SpanRecord, int(nspans))
-		for i := range spans {
-			spans[i] = telemetry.SpanRecord{
-				Start: int64(traceID) + int64(i), Dur: int64(flags ^ uint64(i)),
-				Proc: uint8(i % 4), Stage: uint8(i % 10),
-			}
-		}
-
-		req := &Request{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: bits,
-			Traced: true, TraceID: traceID, TraceFlags: flags}
-		enc, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatalf("encode traced request: %v", err)
-		}
-		pr, err := ParseRequest(enc[4:])
-		if err != nil {
-			t.Fatalf("parse traced request: %v", err)
-		}
-		if !pr.Traced || pr.TraceID != traceID || pr.TraceFlags != flags || pr.Count != len(bits) {
-			t.Fatalf("request trace context mismatch: %+v", pr)
-		}
-
-		resp := &Response{Status: StatusOK, Type: TFloat32, ID: 9, Bits: bits,
-			Traced: true, TraceID: traceID, TraceFlags: flags, Spans: spans}
-		renc, err := AppendResponse(nil, resp)
-		if err != nil {
-			t.Fatalf("encode traced response: %v", err)
-		}
-		rgot, err := DecodeResponse(renc[4:])
-		if err != nil {
-			t.Fatalf("decode traced response: %v", err)
-		}
-		if rgot.TraceID != traceID || rgot.TraceFlags != flags || len(rgot.Spans) != len(spans) {
-			t.Fatalf("response trace context mismatch: %+v", rgot)
-		}
-		for i := range spans {
-			if rgot.Spans[i] != spans[i] {
-				t.Fatalf("span[%d]: got %+v want %+v", i, rgot.Spans[i], spans[i])
-			}
-		}
-
-		// Mutations must never panic; they may parse or error, nothing else.
-		if mutIdx >= 0 {
-			if mf := enc[4:]; mutIdx < len(mf) {
-				ParseRequest(mutate(mf, mutIdx, mutVal))
-			}
-			if mf := renc[4:]; mutIdx < len(mf) {
-				DecodeResponse(mutate(mf, mutIdx, mutVal))
-			}
-		}
+	f.Add(uint64(1), uint8(3), []byte{1, 2, 3}, -1, byte(0))
+	f.Add(uint64(0xffffffffffffffff), uint8(0), []byte{}, 0, byte(99))
+	f.Add(uint64(0xbeef), uint8(250), []byte{0, 0, 128, 63}, 4, byte(2))
+	f.Fuzz(func(t *testing.T, traceID uint64, nspans uint8, payload []byte, mutIdx int, mutVal byte) {
+		checkFrameRoundTrip(t, OpEval, TFloat32, "exp", 9, payload, traceID, nspans, mutIdx, mutVal)
 	})
 }
 
-// TestEndToEndTrace drives a traced request through a live server:
-// negotiation via the ping advertisement, the trace id echoed on the
-// response, and the two backend pipeline spans (queue, kernel)
-// stamped with plausible timings — while results stay bit-exact with
-// the in-process library.
+// TestEndToEndTrace drives traced requests through a live server: the
+// very first call on a fresh connection is traced (no Ping first), the
+// trace id is echoed on the response, and the two backend pipeline
+// spans (queue, kernel) carry plausible timings — while results stay
+// bit-exact with the in-process library. An untraced call on the same
+// connection comes back with trace id 0 and no spans.
 func TestEndToEndTrace(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 2})
 	c, err := Dial(addr)
@@ -253,24 +182,8 @@ func TestEndToEndTrace(t *testing.T) {
 	dst := make([]uint32, len(in))
 	done := make(chan *Call, 1)
 
-	// Before any response arrives the peer version is unknown, so a
-	// traced issue must degrade silently to v1: the call still succeeds
-	// but carries no trace context back.
-	call := <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, 0x1111, 0).Done
-	if call.Err != nil || call.Status != StatusOK {
-		t.Fatalf("pre-negotiation call: status %s err %v", StatusText(call.Status), call.Err)
-	}
-	if call.TraceID != 0 || len(call.Spans) != 0 {
-		t.Fatalf("pre-negotiation call carried trace context: id %#x, %d spans", call.TraceID, len(call.Spans))
-	}
-
-	// That response's pad byte advertised v2; from here tracing is live.
-	if v := c.PeerVersion(); v != MaxProtoVersion {
-		t.Fatalf("peer version after first response: %d, want %d", v, MaxProtoVersion)
-	}
-
 	const traceID = 0xdecafbad
-	call = <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, traceID, 0).Done
+	call := <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, traceID).Done
 	if call.Err != nil || call.Status != StatusOK {
 		t.Fatalf("traced call: status %s err %v", StatusText(call.Status), call.Err)
 	}
@@ -302,5 +215,13 @@ func TestEndToEndTrace(t *testing.T) {
 			t.Errorf("span %s has implausible timing: start %d dur %d",
 				telemetry.SpanName(s.Proc, s.Stage), s.Start, s.Dur)
 		}
+	}
+
+	call = <-c.GoTagged(TFloat32, "exp", dst, in, done, 0).Done
+	if call.Err != nil || call.Status != StatusOK {
+		t.Fatalf("untraced call: status %s err %v", StatusText(call.Status), call.Err)
+	}
+	if call.TraceID != 0 || len(call.Spans) != 0 {
+		t.Errorf("untraced call came back with trace id %#x and %d spans", call.TraceID, len(call.Spans))
 	}
 }
