@@ -1,11 +1,12 @@
 package bfloat16_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"rlibm32/bfloat16"
-	"rlibm32/internal/checks"
+	"rlibm32/internal/exhaust"
 )
 
 // TestExhaustivelyCorrect is the 16-bit payoff: every one of the 65536
@@ -13,16 +14,16 @@ import (
 // all-inputs guarantee the paper's server-scale runs establish for
 // 32-bit types.
 func TestExhaustivelyCorrect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy (≈1s per function)")
-	}
 	for _, name := range bfloat16.Names() {
-		res := checks.CheckMini("bfloat16", "rlibm", name)
-		if res.Tested <= 0 {
-			t.Fatalf("%s: no implementation", name)
+		rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: "bfloat16." + name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if !res.Correct() {
-			t.Errorf("%s: %d/%d wrong results (e.g. x=%v)", name, res.Wrong, res.Tested, res.Example)
+		if !rep.Complete || rep.Inputs != 1<<16 {
+			t.Fatalf("%s: swept %d inputs, want all 65536", name, rep.Inputs)
+		}
+		if rep.Mismatched != 0 {
+			t.Errorf("%s: %d/%d wrong results (e.g. %+v)", name, rep.Mismatched, rep.Inputs, rep.Mismatches[0])
 		}
 	}
 }

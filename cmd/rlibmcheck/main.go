@@ -8,17 +8,21 @@
 //	go run ./cmd/rlibmcheck [-type float|posit|all] [-samples N] [-func name]
 //
 // Output mirrors the paper's layout: ✓ for zero wrong results, X(count)
-// otherwise, N/A where a library lacks the function. Counts are on the
-// sample, not on all 2^32 inputs — see EXPERIMENTS.md for scaling.
+// otherwise, N/A where a library lacks the function. The float32 and
+// posit32 counts are on the sample, not on all 2^32 inputs — see
+// EXPERIMENTS.md for scaling; the 16-bit counts come from
+// internal/exhaust's sweeps of all 65536 inputs.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"rlibm32/internal/baselines"
 	"rlibm32/internal/checks"
+	"rlibm32/internal/exhaust"
 	"rlibm32/internal/rangered"
 )
 
@@ -30,6 +34,18 @@ func cell(r checks.Result) string {
 		return "ok"
 	}
 	return fmt.Sprintf("X(%d)", r.Wrong)
+}
+
+// sweepCell sweeps every input of key in lib and formats the count.
+func sweepCell(key, lib string) string {
+	rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: key, Lib: lib})
+	switch {
+	case err != nil:
+		return "N/A"
+	case rep.Mismatched == 0:
+		return "ok"
+	}
+	return fmt.Sprintf("X(%d)", rep.Mismatched)
 }
 
 func main() {
@@ -85,7 +101,7 @@ func main() {
 		for _, name := range names(miniNames) {
 			fmt.Printf("%-8s", name)
 			for _, l := range libs {
-				fmt.Printf(" %12s", cell(checks.CheckMini(mini, l, name)))
+				fmt.Printf(" %12s", sweepCell(mini+"."+name, l))
 			}
 			fmt.Println()
 		}

@@ -1,12 +1,17 @@
-// Command rlibmverify runs the exhaustive float32 verification sweep:
-// every one of the 2^32 input bit patterns (or a -limit bounded prefix)
-// is checked against the correctly rounded result, using the two-tier
-// filter-then-oracle scheme of internal/exhaust.
+// Command rlibmverify runs the exhaustive verification sweep of
+// internal/exhaust: every input bit pattern of a served (representation,
+// function) pair (or a -limit bounded prefix) runs through every path
+// the library serves and is checked against the correctly rounded
+// result, using the two-tier filter-then-oracle scheme. -func names the
+// pair as variant.name (posit32.ln, bfloat16.cospi); a bare name is
+// float32.
 //
 // Usage:
 //
-//	rlibmverify -func log2                     # full 2^32 sweep of rlibm log2
-//	rlibmverify -func all -limit 1<<24         # bounded CI slice, all functions
+//	rlibmverify -func log2                     # full 2^32 sweep of rlibm float32 log2
+//	rlibmverify -func posit32.ln               # full 2^32 sweep of rlibm posit32 ln
+//	rlibmverify -func posit16.exp              # all 2^16 posit16 inputs
+//	rlibmverify -func all -limit 1<<24         # bounded CI slice, all float32 functions
 //	rlibmverify -func exp -lib fastfloat       # refute a baseline library
 //	rlibmverify -func ln -checkpoint ln.ckpt   # checkpointed ...
 //	rlibmverify -func ln -checkpoint ln.ckpt -resume   # ... and resumed
@@ -35,17 +40,17 @@ import (
 
 func main() {
 	var (
-		funcName  = flag.String("func", "", "function to verify (ln, log2, ..., or 'all')")
+		funcName  = flag.String("func", "", "pair to verify: a float32 function (ln, log2, ...), variant.name (posit32.ln, bfloat16.cospi), or 'all' float32 functions")
 		lib       = flag.String("lib", "rlibm", "library under test (rlibm, fastfloat, stddouble, crdouble, vecfloat)")
 		workers   = flag.Int("workers", 0, "sweep parallelism (default GOMAXPROCS)")
-		shardBits = flag.Int("shard-bits", 20, "log2 of inputs per shard")
-		limitStr  = flag.String("limit", "0", "bound the sweep to the first N inputs (accepts 1<<24 syntax; 0 = full 2^32)")
+		shardBits = flag.Int("shard-bits", 0, "log2 of inputs per shard (default 20, 10 for the 16-bit types)")
+		limitStr  = flag.String("limit", "0", "bound the sweep to the first N input patterns (accepts 1<<24 syntax; 0 = all of them)")
 		ckpt      = flag.String("checkpoint", "", "checkpoint file path (enables resumable sweeps)")
 		resume    = flag.Bool("resume", false, "resume from -checkpoint if it exists")
 		guard     = flag.Float64("guard", 0, "filter guard band half-width in float64 ulps (default 256)")
 		quiet     = flag.Bool("q", false, "suppress progress lines")
 		maxShow   = flag.Int("show", 10, "mismatches to print per function")
-		dump      = flag.String("dump", "", "append refuted input bit patterns to this file (rlibmgen -extra format)")
+		dump      = flag.String("dump", "", "append refuted float32 input bit patterns to this file (rlibmgen -extra format)")
 		metrics   = flag.String("metrics", "", "serve Prometheus sweep-progress metrics on this address (e.g. :9100) for the duration of the run")
 	)
 	flag.Parse()
@@ -62,6 +67,11 @@ func main() {
 	names := []string{*funcName}
 	if *funcName == "all" {
 		names = rlibm.Names()
+	}
+	// rlibmgen -extra reads float32 patterns only.
+	if v, _ := exhaust.Split(*funcName); *dump != "" && v != "float32" {
+		fmt.Fprintf(os.Stderr, "rlibmverify: -dump takes float32 functions only, not %s\n", *funcName)
+		os.Exit(2)
 	}
 
 	// SIGINT/SIGTERM cancel the sweep; the engine flushes a checkpoint
@@ -183,20 +193,29 @@ func printReport(r *exhaust.Report, maxShow int) {
 		status = fmt.Sprintf("REFUTED: %d wrong results", r.Mismatched)
 	}
 	scope := fmt.Sprintf("%d inputs", r.Inputs)
-	if r.Complete && r.Inputs == 1<<32 {
-		scope = "full 2^32 sweep"
+	if r.Complete && r.Inputs == 1<<r.Width {
+		scope = fmt.Sprintf("full 2^%d sweep", r.Width)
 	}
 	if !r.Complete {
 		status = fmt.Sprintf("INCOMPLETE (%d/%d shards): %d wrong so far", r.ShardsDone, r.ShardsTotal, r.Mismatched)
 	}
-	fmt.Printf("%-6s %-10s %s — %s in %s\n", r.Func, r.Lib, status, scope, r.Elapsed.Round(time.Millisecond))
+	fmt.Printf("%s.%s %s %s — %s in %s\n", r.Variant, r.Func, r.Lib, status, scope, r.Elapsed.Round(time.Millisecond))
 	fmt.Printf("       inputs %d (NaN %d)  filter-decided %d (%.4f%%)  oracle-escalated %d (%.6f%%)\n",
 		r.Inputs, r.NaNInputs, r.Filtered, 100*(1-r.EscalationFraction()), r.Escalated, 100*r.EscalationFraction())
+	fmt.Printf("       wrong per path:")
+	for i, p := range r.Paths {
+		fmt.Printf("  %s %d", p, r.PathMismatched[i])
+	}
+	fmt.Println()
 	for i, m := range r.Mismatches {
 		if i >= maxShow {
 			fmt.Printf("       ... %d more\n", int(r.Mismatched)-maxShow)
 			break
 		}
-		fmt.Printf("       x=%#08x  got=%#08x  want=%#08x\n", m.Bits, m.Got, m.Want)
+		fmt.Printf("       x=%#08x  want=%#08x ", m.Bits, m.Want)
+		for k, p := range m.Paths {
+			fmt.Printf(" %s=%#08x", p, m.Got[k])
+		}
+		fmt.Println()
 	}
 }

@@ -3,8 +3,9 @@
 // The paper validates its 32-bit libraries against all 2^32 inputs on a
 // server-scale MPFR setup. The 16-bit types generated by the same
 // pipeline in this repository make that guarantee reproducible on a
-// laptop: this example checks every one of the 65536 bfloat16 inputs of
-// exp against the arbitrary-precision oracle, live, in a few seconds —
+// laptop: this example runs the repository's all-input verifier
+// (internal/exhaust, the engine behind cmd/rlibmverify) over every one
+// of the 65536 bfloat16 inputs of exp, live, in well under a second —
 // and then shows the kind of input a double-precision library gets
 // wrong at bfloat16 granularity.
 //
@@ -14,42 +15,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"rlibm32/bfloat16"
-	"rlibm32/internal/bigfp"
-	"rlibm32/internal/interval"
-	"rlibm32/internal/oracle"
+	"rlibm32/internal/exhaust"
 )
 
 func main() {
-	fmt.Println("checking bfloat16.Exp on ALL 65536 inputs against the oracle...")
-	tgt := interval.BFloat16Target()
-	start := time.Now()
-	wrong, tested := 0, 0
-	for b := 0; b < 1<<16; b++ {
-		x := bfloat16.FromBits(uint16(b))
-		if x.IsNaN() {
-			continue
-		}
-		tested++
-		got := bfloat16.Exp(x)
-		want := bfloat16.NaN()
-		if w, ok := oracle.Target(tgt, bigfp.Exp, x.Float64()); ok {
-			want = bfloat16.FromFloat64(w)
-		}
-		same := got == want || (got.IsNaN() && want.IsNaN()) ||
-			(got.Float64() == 0 && want.Float64() == 0)
-		if !same {
-			wrong++
-			if wrong < 4 {
-				fmt.Printf("  MISMATCH at %v: got %v want %v\n", x.Float64(), got.Float64(), want.Float64())
-			}
-		}
+	fmt.Println("checking bfloat16.Exp on ALL 65536 inputs against the correctly rounded result...")
+	rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: "bfloat16.exp"})
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-	fmt.Printf("tested %d inputs in %v: %d wrong\n\n", tested, time.Since(start), wrong)
+	for _, m := range rep.Mismatches[:min(3, len(rep.Mismatches))] {
+		fmt.Printf("  MISMATCH at %v: got %v want %v\n", bfloat16.FromBits(uint16(m.Bits)).Float64(),
+			bfloat16.FromBits(uint16(m.Got[0])).Float64(), bfloat16.FromBits(uint16(m.Want)).Float64())
+	}
+	fmt.Printf("tested %d inputs in %v: %d wrong, %d decided by the arbitrary-precision oracle\n\n",
+		rep.Inputs, rep.Elapsed, rep.Mismatched, rep.Escalated)
 
 	// Where a repurposed double library loses: cospi near the zeros of
 	// the cosine (the Table 1 failure class, visible even at 16 bits).

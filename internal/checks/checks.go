@@ -19,9 +19,6 @@ import (
 	"rlibm32/internal/bigfp"
 	"rlibm32/internal/fp"
 	"rlibm32/internal/interval"
-	"rlibm32/internal/libm"
-	"rlibm32/internal/minifloat"
-	"rlibm32/internal/miniposit"
 	"rlibm32/internal/oracle"
 	"rlibm32/posit32"
 	"rlibm32/posit32/positmath"
@@ -187,90 +184,6 @@ func CheckPosit32(lib, name string, ps []posit32.Posit) Result {
 	return CheckPosit32Multi([]string{lib}, name, ps)[0]
 }
 
-// CheckMini runs the *exhaustive* correctness check for a 16-bit
-// variant ("bfloat16", "float16" or "posit16"): every one of the 65536
-// bit patterns is compared against the oracle — the same
-// full-input-space guarantee the paper establishes for its libraries.
-// The oracle values are served from the shared cache, so checking
-// several libraries evaluates the Ziv loop only on the first.
-func CheckMini(variant, lib, name string) Result {
-	if variant == "posit16" {
-		return checkPosit16(lib, name)
-	}
-	var f minifloat.Format
-	var tgt interval.Target
-	switch variant {
-	case "bfloat16":
-		f, tgt = minifloat.BFloat16, interval.BFloat16Target()
-	case "float16":
-		f, tgt = minifloat.Binary16, interval.Float16Target()
-	default:
-		panic("checks: unknown mini variant " + variant)
-	}
-	var impl func(float64) float64
-	if lib == "rlibm" {
-		impl, _ = libm.Lookup(variant, name)
-	} else {
-		impl = baselines.Func64(baselines.Library(lib), name)
-	}
-	res := Result{Library: lib, Func: name}
-	if impl == nil {
-		res.Tested = -1
-		return res
-	}
-	of := OracleFunc[name]
-	workers := runtime.GOMAXPROCS(0)
-	type acc struct {
-		tested int
-		exAcc
-	}
-	accs := make([]acc, workers)
-	var wg sync.WaitGroup
-	chunk := (1 << 16) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if w == workers-1 {
-			hi = 1 << 16
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for b := lo; b < hi; b++ {
-				bits := uint16(b)
-				if f.IsNaN(bits) {
-					continue
-				}
-				x := f.ToFloat64(bits)
-				got := f.FromFloat64(impl(x))
-				wantF, ok := oracle.Target(tgt, of, x)
-				var want uint16
-				if !ok {
-					want = f.NaN()
-				} else {
-					want = f.FromFloat64(wantF)
-				}
-				accs[w].tested++
-				same := got == want ||
-					(f.IsNaN(got) && f.IsNaN(want)) ||
-					(f.ToFloat64(got) == 0 && f.ToFloat64(want) == 0)
-				if !same {
-					accs[w].note(int64(b), x)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, a := range accs {
-		res.Tested += a.tested
-	}
-	exs := make([]exAcc, len(accs))
-	for i, a := range accs {
-		exs[i] = a.exAcc
-	}
-	mergeExamples(&res, exs)
-	return res
-}
-
 // CheckFloat32Multi checks several libraries against one shared oracle
 // pass: the sample is precomputed into the oracle cache once, then
 // every per-library comparison runs on cache hits. This is what makes
@@ -406,71 +319,4 @@ func CheckPosit32Multi(libs []string, name string, ps []posit32.Posit) []Result 
 		mergeExamples(&out[i], exs)
 	}
 	return out
-}
-
-// checkPosit16 is the exhaustive posit16 harness (all 65536 patterns).
-func checkPosit16(lib, name string) Result {
-	tgt := interval.Posit16Target()
-	var impl func(float64) float64
-	if lib == "rlibm" {
-		impl, _ = libm.Lookup("posit16", name)
-	} else {
-		impl = baselines.Func64(baselines.Library(lib), name)
-	}
-	res := Result{Library: lib, Func: name}
-	if impl == nil {
-		res.Tested = -1
-		return res
-	}
-	of := OracleFunc[name]
-	workers := runtime.GOMAXPROCS(0)
-	type acc struct {
-		tested int
-		exAcc
-	}
-	accs := make([]acc, workers)
-	var wg sync.WaitGroup
-	chunk := (1 << 16) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if w == workers-1 {
-			hi = 1 << 16
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for b := lo; b < hi; b++ {
-				bits := uint16(b)
-				if miniposit.IsNaR(bits) {
-					continue
-				}
-				x := miniposit.ToFloat64(bits)
-				if (name == "ln" || name == "log2" || name == "log10") && x <= 0 {
-					continue
-				}
-				got := miniposit.FromFloat64(impl(x))
-				wantF, ok := oracle.Target(tgt, of, x)
-				var want uint16
-				if !ok {
-					want = miniposit.NaR
-				} else {
-					want = miniposit.FromFloat64(wantF)
-				}
-				accs[w].tested++
-				if got != want {
-					accs[w].note(int64(b), x)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, a := range accs {
-		res.Tested += a.tested
-	}
-	exs := make([]exAcc, len(accs))
-	for i, a := range accs {
-		exs[i] = a.exAcc
-	}
-	mergeExamples(&res, exs)
-	return res
 }

@@ -99,12 +99,6 @@ func MulFF(a, b float64) DD {
 	return DD{p, e}
 }
 
-// AddFF returns the exact sum of two float64 values as a DD.
-func AddFF(a, b float64) DD {
-	s, e := TwoSum(a, b)
-	return DD{s, e}
-}
-
 // Div returns a/b with a relative error of at most about 2^-100
 // (one Newton refinement of the double quotient).
 func Div(a, b DD) DD {
@@ -116,19 +110,6 @@ func Div(a, b DD) DD {
 	q3 := r.Hi / b.Hi
 	s1, s2 := FastTwoSum(q1, q2)
 	return Add(DD{s1, s2}, FromFloat64(q3))
-}
-
-// DivF returns a/b for a plain float64 divisor.
-func DivF(a DD, b float64) DD {
-	return Div(a, FromFloat64(b))
-}
-
-// Sqr returns a*a.
-func Sqr(a DD) DD {
-	p1, p2 := TwoProd(a.Hi, a.Hi)
-	p2 += float64(2 * a.Hi * a.Lo)
-	p1, p2 = FastTwoSum(p1, p2)
-	return DD{p1, p2}
 }
 
 // Scale returns a * 2^k exactly (barring overflow/underflow).

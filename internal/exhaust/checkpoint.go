@@ -16,24 +16,27 @@ import (
 	"path/filepath"
 )
 
-// checkpointVersion guards the on-disk schema.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk schema. Version 2 added the
+// variant, per-path counts and per-path mismatch results.
+const checkpointVersion = 2
 
-// Mismatch is one refuted input: the library's result disagreed with
-// the arbitrary-precision oracle (NaN-vs-NaN and +0-vs--0 agree, as in
-// internal/checks).
+// Mismatch is one refuted input: at least one path's result disagreed
+// with the correctly rounded one (+0 and -0 agree, and every NaN or NaR
+// agrees with another).
 type Mismatch struct {
-	Bits uint32 `json:"bits"` // input float32 bit pattern
-	Got  uint32 `json:"got"`  // library result bits
-	Want uint32 `json:"want"` // oracle result bits
+	Bits  uint32   `json:"bits"`  // input bit pattern
+	Want  uint32   `json:"want"`  // correctly rounded result bits
+	Paths []string `json:"paths"` // the paths that got it wrong ...
+	Got   []uint32 `json:"got"`   // ... and their result bits
 }
 
 // checkpoint is the serialized sweep state. Config fields are stored so
-// a resume against a different function, library, shard layout, or
-// guard width is rejected instead of silently merging incompatible
-// accounting.
+// a resume against a different representation, function, library,
+// shard layout, or guard width is rejected instead of silently merging
+// incompatible accounting.
 type checkpoint struct {
 	Version   int     `json:"version"`
+	Variant   string  `json:"variant"`
 	Func      string  `json:"func"`
 	Lib       string  `json:"lib"`
 	ShardBits int     `json:"shard_bits"`
@@ -49,10 +52,22 @@ type checkpoint struct {
 	Filtered   uint64 `json:"filtered"`
 	Escalated  uint64 `json:"escalated"`
 	Mismatched uint64 `json:"mismatched"`
+	// PathMismatched counts each path's wrong results, in path order.
+	PathMismatched []uint64 `json:"path_mismatched"`
 
 	// Mismatches holds up to maxMismatches entries; Mismatched is the
 	// authoritative count when the log is truncated.
 	Mismatches []Mismatch `json:"mismatches"`
+}
+
+// newCheckpoint returns the empty state of e's sweep.
+func (e *engine) newCheckpoint() *checkpoint {
+	return &checkpoint{
+		Version: checkpointVersion, Variant: e.variant, Func: e.name, Lib: e.cfg.Lib,
+		ShardBits: int(e.shardBits), Limit: e.limit, GuardUlps: e.guard,
+		Done:           make([]byte, (e.nShards+7)/8),
+		PathMismatched: make([]uint64, len(e.paths)),
+	}
 }
 
 // loadCheckpoint reads and validates a checkpoint against the sweep
@@ -69,17 +84,18 @@ func loadCheckpoint(path string, want checkpoint) (*checkpoint, error) {
 	switch {
 	case cp.Version != checkpointVersion:
 		return nil, fmt.Errorf("exhaust: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)
-	case cp.Func != want.Func || cp.Lib != want.Lib:
-		return nil, fmt.Errorf("exhaust: checkpoint %s is for %s/%s, sweep is %s/%s",
-			path, cp.Lib, cp.Func, want.Lib, want.Func)
+	case cp.Variant != want.Variant || cp.Func != want.Func || cp.Lib != want.Lib:
+		return nil, fmt.Errorf("exhaust: checkpoint %s is for %s/%s.%s, sweep is %s/%s.%s",
+			path, cp.Lib, cp.Variant, cp.Func, want.Lib, want.Variant, want.Func)
 	case cp.ShardBits != want.ShardBits || cp.Limit != want.Limit:
 		return nil, fmt.Errorf("exhaust: checkpoint %s shard layout (bits=%d limit=%d) differs from sweep (bits=%d limit=%d)",
 			path, cp.ShardBits, cp.Limit, want.ShardBits, want.Limit)
 	case cp.GuardUlps != want.GuardUlps:
 		return nil, fmt.Errorf("exhaust: checkpoint %s guard width %g differs from sweep %g",
 			path, cp.GuardUlps, want.GuardUlps)
-	case len(cp.Done) != len(want.Done):
-		return nil, fmt.Errorf("exhaust: checkpoint %s bitmap length %d, want %d", path, len(cp.Done), len(want.Done))
+	case len(cp.Done) != len(want.Done) || len(cp.PathMismatched) != len(want.PathMismatched):
+		return nil, fmt.Errorf("exhaust: checkpoint %s has %d bitmap bytes and %d paths, want %d and %d",
+			path, len(cp.Done), len(cp.PathMismatched), len(want.Done), len(want.PathMismatched))
 	}
 	return &cp, nil
 }

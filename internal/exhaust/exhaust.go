@@ -1,26 +1,36 @@
-// Package exhaust proves (or refutes) correct rounding over the entire
-// float32 input space: a sharded, parallel sweep evaluates a library
-// over all 2^32 bit patterns and compares every result against the
-// correctly rounded value.
+// Package exhaust is the all-input verifier: a sharded, parallel,
+// checkpointed sweep that checks every input of a served
+// (representation, function) pair against the correctly rounded
+// result — all 2^32 bit patterns of float32 and posit32, all 2^16 of
+// bfloat16, float16 and posit16.
 //
-// This is the paper's acceptance bar — RLIBM-32 reports full 2^32
-// exhaustive validation per function — made affordable by a two-tier
-// check. Tier one computes the reference in double precision
-// (filter.go) and asks oracle.RoundDecided32 whether a guard band
-// around it pins the float32 rounding; only when the band straddles a
-// rounding boundary, or the library disagrees with the decided value,
-// does tier two run the arbitrary-precision Ziv oracle. In practice
-// well under 0.01% of inputs escalate, so the sweep runs at
-// hardware-filter speed instead of Ziv-ladder speed.
+// This is the paper's acceptance bar — RLIBM-32 checks every input of
+// every function, for float32 and posit32 alike — made affordable by a
+// two-tier check. Tier one computes the reference in double precision
+// (oracle.Ref64) and asks whether a guard band around it pins the
+// rounding to the target; only when the band straddles a rounding
+// boundary, or a library result disagrees with the decided value, does
+// tier two run the arbitrary-precision Ziv oracle. A zero or infinite
+// reference is decided by range: an IEEE target rounds it as is, and a
+// posit saturates to ±MinPos or ±MaxPos, except at a function's exact
+// zeros, which go to the oracle. In practice well under 0.1% of inputs
+// escalate, so the sweep runs at hardware-filter speed instead of
+// Ziv-ladder speed.
 //
-// The sweep is organized as contiguous ordinal shards (internal/fp's
-// Ord32 rank order, rotated to start at +0): workers claim shards from
-// an atomic counter, evaluate the library through its batch slice
-// kernels, and fold per-shard results into a collector that maintains a
-// completed-shard bitmap. The bitmap plus counters and mismatch log
-// checkpoint to disk via atomic rename (checkpoint.go), so an
-// interrupted sweep resumes from the last completed shard with
-// accounting identical to an uninterrupted run.
+// Every input runs through every path the library serves: rlibm's
+// scalar Func and batch FuncSlice for float32 and posit32, the public
+// Func of the 16-bit packages (which rlibmd serves one value at a
+// time), or a baseline library's one function. Each path is checked
+// against the same correctly rounded result, and mismatches are
+// counted per path.
+//
+// The sweep visits bit patterns in ascending order, in contiguous
+// shards: workers claim shards from an atomic counter and fold
+// per-shard results into a collector that maintains a completed-shard
+// bitmap. The bitmap plus counters and mismatch log checkpoint to disk
+// via atomic rename (checkpoint.go), so an interrupted sweep resumes
+// from the last completed shard with accounting identical to an
+// uninterrupted run.
 package exhaust
 
 import (
@@ -31,34 +41,40 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
+	"rlibm32/bfloat16"
+	"rlibm32/float16"
 	"rlibm32/internal/baselines"
 	"rlibm32/internal/bigfp"
 	"rlibm32/internal/checks"
-	"rlibm32/internal/fp"
+	"rlibm32/internal/interval"
+	"rlibm32/internal/libm"
 	"rlibm32/internal/oracle"
 	"rlibm32/internal/telemetry"
+	"rlibm32/posit16"
+	"rlibm32/posit32"
+	"rlibm32/posit32/positmath"
 
 	rlibm "rlibm32"
 )
 
 const (
-	// batchSize is the slice-kernel batch within a shard.
+	// batchSize is the path batch within a shard.
 	batchSize = 4096
 	// maxMismatches caps the retained mismatch log (the count is always
 	// exact; only the log truncates).
 	maxMismatches = 1 << 16
-	// canonicalNaN32 is the want-bits recorded for a NaN-in/NaN-out
-	// violation.
-	canonicalNaN32 = 0x7FC00000
 )
 
 // Config parameterizes one sweep.
 type Config struct {
-	// Func is the function name ("ln", "log2", ... — rlibm.Names()).
+	// Func names the pair to sweep, spelled variant.name ("posit32.ln",
+	// "bfloat16.cospi"); a bare name ("log2") is float32.
 	Func string
 	// Lib is the library under test: "rlibm" (default) or one of the
 	// baselines ("fastfloat", "stddouble", "crdouble", "vecfloat").
@@ -66,12 +82,13 @@ type Config struct {
 	// Workers is the sweep parallelism (default GOMAXPROCS).
 	Workers int
 	// ShardBits is log2 of the shard size in inputs (default 20, i.e.
-	// 4096 shards of 1Mi inputs for a full sweep). Valid range 8..30.
+	// 4096 shards of 1Mi inputs for a 32-bit sweep, and 10 for a 16-bit
+	// one, so its 64 shards keep every worker busy). Valid range 8..30.
 	ShardBits int
-	// Limit bounds the sweep to the first Limit inputs of the sweep
-	// order (0 = the full 2^32). The order starts at +0 and walks the
-	// positive patterns upward, so bounded CI slices cover zeros,
-	// denormals and small normals first.
+	// Limit bounds the sweep to the first Limit bit patterns (0 = all
+	// of them). The sweep starts at pattern 0 and walks upward, so
+	// bounded CI slices cover zero and the smallest positive values
+	// first.
 	Limit uint64
 	// GuardUlps is the filter guard-band half-width in float64 ulps
 	// (default oracle.DefaultGuardUlps).
@@ -91,15 +108,13 @@ type Config struct {
 	ProgressEvery time.Duration
 	// Metrics, when non-nil, exports sweep progress (completed shards,
 	// checked inputs, oracle escalations, mismatches) as counters
-	// labelled by func/lib on this registry, so a long sweep can be
+	// labelled by type/func/lib on this registry, so a long sweep can be
 	// scraped remotely. Nil costs nothing.
 	Metrics *telemetry.Registry
 
-	// sliceOverride substitutes the library slice kernel (tests inject
-	// deliberately wrong implementations with it).
-	sliceOverride func(dst, xs []float32)
-	// refOverride substitutes the double reference (tests).
-	refOverride func(float64) float64
+	// wrap substitutes each path's evaluator (tests inject deliberately
+	// wrong paths with it).
+	wrap func(path string, eval evalFunc) evalFunc
 }
 
 // Snapshot is a progress observation.
@@ -115,16 +130,22 @@ type Snapshot struct {
 
 // Report is the outcome of a sweep.
 type Report struct {
-	Func, Lib string
+	Variant, Func, Lib string
+	Width              uint // bits per input pattern: 32 or 16
 
 	// Inputs = NaNInputs + Filtered + Escalated over completed shards.
 	Inputs     uint64
-	NaNInputs  uint64 // NaN bit patterns (checked for NaN-in/NaN-out)
-	Filtered   uint64 // decided by the float64 guard-band filter alone
+	NaNInputs  uint64 // NaN or NaR bit patterns (checked for NaN-in/NaN-out)
+	Filtered   uint64 // decided by the double reference alone
 	Escalated  uint64 // consulted the arbitrary-precision oracle
-	Mismatched uint64 // oracle-refuted results (exact count)
+	Mismatched uint64 // inputs some path got wrong (exact count)
 
-	// Mismatches is the retained log, sorted by input ordinal;
+	// Paths names the paths checked; PathMismatched[i] counts the
+	// inputs Paths[i] got wrong.
+	Paths          []string
+	PathMismatched []uint64
+
+	// Mismatches is the retained log, sorted by input pattern;
 	// LogTruncated reports whether it was capped at maxMismatches.
 	Mismatches   []Mismatch
 	LogTruncated bool
@@ -144,64 +165,246 @@ func (r *Report) EscalationFraction() float64 {
 	return 0
 }
 
-// TableResult converts the sweep outcome into the harness's Table-style
-// accounting cell (lowest-ordinal mismatch as the example, matching
-// internal/checks semantics).
-func (r *Report) TableResult() checks.Result {
-	res := checks.Result{
-		Library: r.Lib, Func: r.Func,
-		Tested: int(r.Inputs), Wrong: int(r.Mismatched),
+// Split parses a pair spelled variant.name; a bare name is float32.
+func Split(key string) (variant, name string) {
+	if v, n, ok := strings.Cut(key, "."); ok {
+		return v, n
 	}
-	if len(r.Mismatches) > 0 {
-		best := r.Mismatches[0]
-		for _, m := range r.Mismatches[1:] {
-			if fp.OrdBits32(m.Bits) < fp.OrdBits32(best.Bits) {
-				best = m
-			}
-		}
-		res.Example = float64(math.Float32frombits(best.Bits))
-	}
-	return res
+	return libm.VariantFloat32, key
 }
 
-// sweepBits maps sweep index i to the float32 bit pattern it visits:
-// rank order rotated to start at +0 (positive patterns ascending, then
-// negative patterns ascending by ordinal, i.e. most-negative NaN block
-// up to -0).
-func sweepBits(i uint64) uint32 {
-	return fp.FromOrdBits32(uint32(i) + 1<<31)
+// format is one representation's bit-level view: every pattern decodes
+// exactly to a float64, and every float64 rounds to a pattern.
+type format struct {
+	target interval.Target
+	width  uint                 // bits per pattern: 32 or 16
+	decode func(uint32) float64 // exact value; NaN for NaN and NaR
+	encode func(float64) uint32 // round to nearest; NaN to NaN or NaR
+	posit  bool                 // saturates instead of rounding to 0 or ±Inf
+}
+
+var formats = map[string]format{
+	libm.VariantFloat32: {interval.Float32Target{}, 32,
+		func(b uint32) float64 { return float64(math.Float32frombits(b)) },
+		func(v float64) uint32 { return math.Float32bits(float32(v)) }, false},
+	libm.VariantPosit32: {interval.Posit32Target{}, 32,
+		func(b uint32) float64 { return posit32.FromBits(b).Float64() },
+		func(v float64) uint32 { return posit32.FromFloat64(v).Bits() }, true},
+	libm.VariantBfloat16: {interval.BFloat16Target(), 16,
+		func(b uint32) float64 { return bfloat16.FromBits(uint16(b)).Float64() },
+		func(v float64) uint32 { return uint32(bfloat16.FromFloat64(v).Bits()) }, false},
+	libm.VariantFloat16: {interval.Float16Target(), 16,
+		func(b uint32) float64 { return float16.FromBits(uint16(b)).Float64() },
+		func(v float64) uint32 { return uint32(float16.FromFloat64(v).Bits()) }, false},
+	libm.VariantPosit16: {interval.Posit16Target(), 16,
+		func(b uint32) float64 { return posit16.FromBits(uint16(b)).Float64() },
+		func(v float64) uint32 { return uint32(posit16.FromFloat64(v).Bits()) }, true},
+}
+
+// evalFunc evaluates one path over a batch of input bit patterns,
+// writing result bit patterns.
+type evalFunc = func(dst, src []uint32)
+
+// path is one served way of evaluating the function under test.
+type path struct {
+	name string
+	eval evalFunc
+}
+
+// each lifts a one-value function over a pattern type onto pattern
+// slices.
+func each[P ~uint16 | ~uint32](f func(P) P) evalFunc {
+	return func(dst, src []uint32) {
+		for i, b := range src {
+			dst[i] = uint32(f(P(b)))
+		}
+	}
+}
+
+// eachFloat32 lifts a float32 function onto pattern slices.
+func eachFloat32(f func(float32) float32) evalFunc {
+	return func(dst, src []uint32) {
+		for i, b := range src {
+			dst[i] = math.Float32bits(f(math.Float32frombits(b)))
+		}
+	}
+}
+
+// batchOf runs a slice kernel over a 32-bit value type on pattern
+// slices, reinterpreted in place.
+func batchOf[T float32 | posit32.Posit](f func(dst, src []T)) evalFunc {
+	view := func(s []uint32) []T { return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(s))), len(s)) }
+	return func(dst, src []uint32) { f(view(dst), view(src)) }
+}
+
+// servedPaths resolves the paths lib serves for (variant, name).
+func servedPaths(variant, name, lib string, f format) []path {
+	switch {
+	case lib == "rlibm" && variant == libm.VariantFloat32:
+		scalar, _ := rlibm.Func(name)
+		batch, _ := rlibm.FuncSlice(name)
+		return []path{{"scalar", eachFloat32(scalar)}, {"batch", batchOf(batch)}}
+	case lib == "rlibm" && variant == libm.VariantPosit32:
+		scalar, _ := positmath.Func(name)
+		batch, _ := positmath.FuncSlice(name)
+		return []path{{"scalar", each(scalar)}, {"batch", batchOf(batch)}}
+	case lib == "rlibm" && variant == libm.VariantBfloat16:
+		scalar, _ := bfloat16.Func(name)
+		return []path{{"scalar", each(scalar)}}
+	case lib == "rlibm" && variant == libm.VariantFloat16:
+		scalar, _ := float16.Func(name)
+		return []path{{"scalar", each(scalar)}}
+	case lib == "rlibm" && variant == libm.VariantPosit16:
+		scalar, _ := posit16.Func(name)
+		return []path{{"scalar", each(scalar)}}
+	case variant == libm.VariantFloat32:
+		if g := baselines.Func32(baselines.Library(lib), name); g != nil {
+			return []path{{"scalar", eachFloat32(g)}}
+		}
+	case variant == libm.VariantPosit32:
+		if g := baselines.FuncPosit(baselines.Library(lib), name); g != nil {
+			return []path{{"scalar", each(g)}}
+		}
+	default:
+		// The double baselines serve the 16-bit types by rounding their
+		// double result.
+		if g := baselines.Func64(baselines.Library(lib), name); g != nil {
+			return []path{{"scalar", func(dst, src []uint32) {
+				for i, b := range src {
+					dst[i] = f.encode(g(f.decode(b)))
+				}
+			}}}
+		}
+	}
+	return nil
 }
 
 // engine is the resolved, immutable sweep plan shared by the workers.
 type engine struct {
-	cfg       Config
-	of        bigfp.Func
-	slice     func(dst, xs []float32)
-	ref       func(float64) float64
-	guard     float64
-	shardBits uint
-	limit     uint64
-	nShards   uint64
+	cfg           Config
+	variant, name string
+	f             format
+	nan           uint32 // the NaN or NaR pattern
+	of            bigfp.Func
+	ref           func(float64) float64
+	paths         []path
+	guard         float64
+	shardBits     uint
+	limit         uint64
+	nShards       uint64
+}
+
+// How one input's correct result was decided.
+const (
+	nanInput  = iota // NaN or NaR input: the result must be NaN or NaR
+	domain           // NaN reference, a domain error: likewise
+	band             // the double reference: range or guard band
+	escalated        // the arbitrary-precision oracle
+)
+
+// same reports whether two result patterns are the same library
+// result under the target's rule: +0 equals -0, and every NaN or NaR
+// equals another.
+func (e *engine) same(a, b uint32) bool {
+	return a == b || e.f.target.SameResult(e.f.decode(a), e.f.decode(b))
+}
+
+// oracle returns the correctly rounded result of x from the Ziv oracle.
+// float32 runs the ladder alone: oracle.Target would first try the very
+// double reference and guard band whose verdict the oracle confirms.
+func (e *engine) oracle(x float64) uint32 {
+	if e.variant == libm.VariantFloat32 {
+		return math.Float32bits(oracle.Float32Ziv(e.of, x))
+	}
+	v, ok := oracle.Target(e.f.target, e.of, x)
+	if !ok {
+		return e.nan
+	}
+	return e.f.encode(v)
+}
+
+// want returns the correctly rounded result for input pattern b and how
+// it was decided.
+func (e *engine) want(b uint32) (uint32, int) {
+	x := e.f.decode(b)
+	if x != x {
+		return e.nan, nanInput
+	}
+	ref := e.ref(x)
+	switch {
+	case ref != ref:
+		// Every Ref64 reference returns NaN exactly when the
+		// mathematical result is NaN (e.g. the whole negative half-line
+		// for the log family), so a NaN reference decides the check.
+		return e.nan, domain
+	case ref == 0 || math.IsInf(ref, 0):
+		// A zero double stands for a magnitude far below every target's
+		// smallest rounding midpoint, an infinite one for a magnitude
+		// far beyond its overflow (oracle.RoundDecided32's reasoning).
+		if !e.f.posit {
+			return e.f.encode(ref), band
+		}
+		// A posit never rounds a nonzero real to 0 or NaR: it saturates
+		// at ±MinPos and ±MaxPos. The exact zeros and poles of the
+		// served functions (x = 1 for the logs, x = 0 for the logs and
+		// sinh) are not such reals; the oracle decides them.
+		if x != 0 && x != 1 {
+			if ref == 0 {
+				return e.f.encode(math.Copysign(0x1p-1022, ref)), band
+			}
+			return e.f.encode(math.Copysign(math.MaxFloat64, ref)), band
+		}
+	default:
+		lo, hi := oracle.GuardBand(ref, e.guard)
+		a, c := e.f.encode(lo), e.f.encode(hi)
+		if a == c {
+			return a, band
+		}
+		if e.same(a, c) { // -0 and +0 around a tiny reference
+			return e.f.encode(ref), band
+		}
+	}
+	return e.oracle(x), escalated
+}
+
+// wrong returns the set of paths (bit i for path i) whose result for
+// input j is not want.
+func (e *engine) wrong(want uint32, got [][]uint32, j int) (set uint) {
+	for i := range got {
+		if !e.same(got[i][j], want) {
+			set |= 1 << i
+		}
+	}
+	return set
 }
 
 // shardAcc accumulates one shard's results (merged only if the whole
 // shard completes).
 type shardAcc struct {
 	inputs, nan, filtered, escalated, mismatched uint64
+	paths                                        []uint64
 	mismatches                                   []Mismatch
 	truncated                                    bool
 }
 
-func (a *shardAcc) note(x, got, want float32) {
+// note records input b, which the paths in wrong got wrong.
+func (a *shardAcc) note(e *engine, b, want uint32, wrong uint, got [][]uint32, j int) {
 	a.mismatched++
-	if len(a.mismatches) < maxMismatches {
-		a.mismatches = append(a.mismatches, Mismatch{
-			Bits: math.Float32bits(x),
-			Got:  math.Float32bits(got),
-			Want: math.Float32bits(want),
-		})
-	} else {
-		a.truncated = true
+	keep := len(a.mismatches) < maxMismatches
+	a.truncated = a.truncated || !keep
+	m := Mismatch{Bits: b, Want: want}
+	for i := range got {
+		if wrong&(1<<i) == 0 {
+			continue
+		}
+		a.paths[i]++
+		if keep {
+			m.Paths = append(m.Paths, e.paths[i].name)
+			m.Got = append(m.Got, got[i][j])
+		}
+	}
+	if keep {
+		a.mismatches = append(a.mismatches, m)
 	}
 }
 
@@ -250,6 +453,9 @@ func (c *collector) merge(s uint64, acc *shardAcc, e *engine) {
 	st.Filtered += acc.filtered
 	st.Escalated += acc.escalated
 	st.Mismatched += acc.mismatched
+	for i, n := range acc.paths {
+		st.PathMismatched[i] += n
+	}
 	for _, m := range acc.mismatches {
 		if len(st.Mismatches) >= maxMismatches {
 			c.truncated = true
@@ -298,11 +504,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	state := &checkpoint{
-		Version: checkpointVersion, Func: e.cfg.Func, Lib: e.cfg.Lib,
-		ShardBits: int(e.shardBits), Limit: e.limit, GuardUlps: e.guard,
-		Done: make([]byte, (e.nShards+7)/8),
-	}
+	state := e.newCheckpoint()
 	if cfg.CheckpointPath != "" && cfg.Resume {
 		cp, err := loadCheckpoint(cfg.CheckpointPath, *state)
 		switch {
@@ -342,7 +544,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		lastProg: time.Now(),
 	}
 	if reg := cfg.Metrics; reg != nil {
-		lbl := []string{"func", e.cfg.Func, "lib", e.cfg.Lib}
+		lbl := []string{"type", e.variant, "func", e.name, "lib", e.cfg.Lib}
 		col.mShards = reg.Counter("rlibm_exhaust_shards_done_total",
 			"completed sweep shards", lbl...)
 		col.mInputs = reg.Counter("rlibm_exhaust_inputs_total",
@@ -392,18 +594,22 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, col.saveErr
 	}
 	rep := &Report{
-		Func: e.cfg.Func, Lib: e.cfg.Lib,
+		Variant: e.variant, Func: e.name, Lib: e.cfg.Lib, Width: e.f.width,
 		Inputs: state.Inputs, NaNInputs: state.NaNInputs,
 		Filtered: state.Filtered, Escalated: state.Escalated,
-		Mismatched:   state.Mismatched,
-		Mismatches:   append([]Mismatch(nil), state.Mismatches...),
-		LogTruncated: col.truncated,
-		ShardsDone:   col.shardsDone, ShardsTotal: e.nShards,
+		Mismatched:     state.Mismatched,
+		PathMismatched: append([]uint64(nil), state.PathMismatched...),
+		Mismatches:     append([]Mismatch(nil), state.Mismatches...),
+		LogTruncated:   col.truncated,
+		ShardsDone:     col.shardsDone, ShardsTotal: e.nShards,
 		Complete: col.shardsDone == e.nShards,
 		Elapsed:  time.Since(col.start),
 	}
+	for _, p := range e.paths {
+		rep.Paths = append(rep.Paths, p.name)
+	}
 	sort.Slice(rep.Mismatches, func(i, j int) bool {
-		return fp.OrdBits32(rep.Mismatches[i].Bits) < fp.OrdBits32(rep.Mismatches[j].Bits)
+		return rep.Mismatches[i].Bits < rep.Mismatches[j].Bits
 	})
 	if cfg.Progress != nil {
 		cfg.Progress(col.snapshotLocked(e.nShards))
@@ -411,52 +617,41 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// newEngine validates the configuration and resolves the function,
-// library kernel, reference, and shard layout.
+// newEngine validates the configuration and resolves the pair, the
+// library's paths, the reference, and the shard layout.
 func newEngine(cfg Config) (*engine, error) {
 	if cfg.Lib == "" {
 		cfg.Lib = "rlibm"
 	}
-	ref, ok := Ref64(cfg.Func)
+	variant, name := Split(cfg.Func)
+	f, ok := formats[variant]
 	if !ok {
-		return nil, fmt.Errorf("exhaust: unknown function %q", cfg.Func)
+		return nil, fmt.Errorf("exhaust: unknown representation %q", variant)
 	}
-	if cfg.refOverride != nil {
-		ref = cfg.refOverride
+	if _, ok := libm.Lookup(variant, name); !ok {
+		return nil, fmt.Errorf("exhaust: %s serves no function %q", variant, name)
 	}
-	of, ok := checks.OracleFunc[cfg.Func]
-	if !ok {
-		return nil, fmt.Errorf("exhaust: no oracle for %q", cfg.Func)
+	of := checks.OracleFunc[name]
+	ref, _ := oracle.Ref64(of)
+	paths := servedPaths(variant, name, cfg.Lib, f)
+	if paths == nil {
+		return nil, fmt.Errorf("exhaust: library %q does not implement %s.%s", cfg.Lib, variant, name)
 	}
-	slice := cfg.sliceOverride
-	if slice == nil {
-		if cfg.Lib == "rlibm" {
-			slice, ok = rlibm.FuncSlice(cfg.Func)
-			if !ok {
-				return nil, fmt.Errorf("exhaust: rlibm has no slice kernel for %q", cfg.Func)
-			}
-		} else {
-			scalar := baselines.Func32(baselines.Library(cfg.Lib), cfg.Func)
-			if scalar == nil {
-				return nil, fmt.Errorf("exhaust: library %q does not implement %q", cfg.Lib, cfg.Func)
-			}
-			slice = func(dst, xs []float32) {
-				for i, x := range xs {
-					dst[i] = scalar(x)
-				}
-			}
+	if cfg.wrap != nil {
+		for i := range paths {
+			paths[i].eval = cfg.wrap(paths[i].name, paths[i].eval)
 		}
 	}
 	shardBits := cfg.ShardBits
 	if shardBits == 0 {
-		shardBits = 20
+		shardBits = min(20, int(f.width)-6)
 	}
 	if shardBits < 8 || shardBits > 30 {
 		return nil, fmt.Errorf("exhaust: shard bits %d outside [8, 30]", shardBits)
 	}
 	limit := cfg.Limit
-	if limit == 0 || limit > 1<<32 {
-		limit = 1 << 32
+	if limit == 0 || limit > 1<<f.width {
+		limit = 1 << f.width
 	}
 	guard := cfg.GuardUlps
 	if guard <= 0 {
@@ -464,7 +659,8 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	shardSize := uint64(1) << shardBits
 	return &engine{
-		cfg: cfg, of: of, slice: slice, ref: ref, guard: guard,
+		cfg: cfg, variant: variant, name: name, f: f, nan: f.encode(math.NaN()),
+		of: of, ref: ref, paths: paths, guard: guard,
 		shardBits: uint(shardBits), limit: limit,
 		nShards: (limit + shardSize - 1) / shardSize,
 	}, nil
@@ -475,66 +671,46 @@ func newEngine(cfg Config) (*engine, error) {
 // resume accounting stays exact).
 func (e *engine) sweepShard(ctx context.Context, s uint64) *shardAcc {
 	lo := s << e.shardBits
-	hi := lo + 1<<e.shardBits
-	if hi > e.limit {
-		hi = e.limit
+	hi := min(lo+1<<e.shardBits, e.limit)
+	acc := &shardAcc{paths: make([]uint64, len(e.paths))}
+	size := min(hi-lo, batchSize)
+	src := make([]uint32, size)
+	got := make([][]uint32, len(e.paths))
+	for i := range got {
+		got[i] = make([]uint32, size)
 	}
-	acc := &shardAcc{}
-	var xs, dst [batchSize]float32
 	for base := lo; base < hi; base += batchSize {
 		if ctx.Err() != nil {
 			return nil
 		}
-		n := int(hi - base)
-		if n > batchSize {
-			n = batchSize
+		n := int(min(hi-base, batchSize))
+		for j := range src[:n] {
+			src[j] = uint32(base) + uint32(j)
 		}
-		for j := 0; j < n; j++ {
-			xs[j] = math.Float32frombits(sweepBits(base + uint64(j)))
+		for i, p := range e.paths {
+			p.eval(got[i][:n], src[:n])
 		}
-		e.slice(dst[:n], xs[:n])
-		for j := 0; j < n; j++ {
-			x, got := xs[j], dst[j]
+		for j, b := range src[:n] {
+			want, how := e.want(b)
+			wrong := e.wrong(want, got, j)
+			if wrong != 0 && how == band {
+				// The filter refuted a path. Its verdict leans on the
+				// reference's ulp contract, so confirm with the full
+				// Ziv ladder before recording a mismatch.
+				want, how = e.oracle(e.f.decode(b)), escalated
+				wrong = e.wrong(want, got, j)
+			}
 			acc.inputs++
-			if x != x {
-				// NaN input: the only contract is NaN out.
+			switch how {
+			case nanInput:
 				acc.nan++
-				if got == got {
-					acc.note(x, got, math.Float32frombits(canonicalNaN32))
-				}
-				continue
-			}
-			ref := e.ref(float64(x))
-			if ref != ref {
-				// Domain error: every Ref64 reference returns NaN exactly
-				// when the mathematical result is NaN (e.g. the whole
-				// negative half-line for the log family), so a NaN
-				// reference decides the check without the oracle.
-				acc.filtered++
-				if got == got {
-					acc.note(x, got, math.Float32frombits(canonicalNaN32))
-				}
-				continue
-			}
-			want, escalated := oracle.Float32Guarded(e.of, float64(x), ref, e.guard)
-			if escalated {
+			case escalated:
 				acc.escalated++
-			} else {
+			default:
 				acc.filtered++
 			}
-			if !fp.Same32(want, got) {
-				if !escalated {
-					// The filter refuted the library. Its verdict leans on
-					// the reference's ulp contract, so confirm with the
-					// full Ziv ladder before recording a mismatch.
-					acc.filtered--
-					acc.escalated++
-					want = oracle.Float32(e.of, float64(x))
-					if fp.Same32(want, got) {
-						continue
-					}
-				}
-				acc.note(x, got, want)
+			if wrong != 0 {
+				acc.note(e, b, want, wrong, got, j)
 			}
 		}
 	}

@@ -2,33 +2,29 @@ package exhaust
 
 import (
 	"context"
-	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rlibm32/internal/fp"
-
-	rlibm "rlibm32"
 )
 
-// corruptEvery wraps the real rlibm slice kernel for name, bumping the
-// result one ulp up whenever the input's bit pattern is divisible by
-// stride — a synthetic wrong library with an exactly predictable
-// mismatch set.
-func corruptEvery(t *testing.T, name string, stride uint32) func(dst, xs []float32) {
-	t.Helper()
-	real32, ok := rlibm.FuncSlice(name)
-	if !ok {
-		t.Fatalf("no slice kernel for %s", name)
-	}
-	return func(dst, xs []float32) {
-		real32(dst, xs)
-		for i, x := range xs {
-			if math.Float32bits(x)%stride == 0 {
-				dst[i] = fp.NextUp32(dst[i])
+// corruptEvery returns a path wrapper that bumps the result of the
+// named path to the next bit pattern whenever the input's bit pattern
+// is divisible by stride — a synthetic wrong path with an exactly
+// predictable mismatch set (on inputs whose results are not NaN).
+func corruptEvery(which string, stride uint32) func(string, evalFunc) evalFunc {
+	return func(name string, eval evalFunc) evalFunc {
+		if name != which {
+			return eval
+		}
+		return func(dst, src []uint32) {
+			eval(dst, src)
+			for i, b := range src {
+				if b%stride == 0 {
+					dst[i]++
+				}
 			}
 		}
 	}
@@ -60,29 +56,20 @@ func TestSweepBoundedClean(t *testing.T) {
 	}
 }
 
-// TestSweepNaNBlock sweeps a slice that crosses into the positive NaN
-// block (ranks 2^31-2^23 ..) and checks NaN inputs are counted and pass
-// the NaN-out contract.
+// TestSweepNaNBlock sweeps a shard in the positive NaN block and
+// checks NaN inputs are counted and pass the NaN-out contract on every
+// path.
 func TestSweepNaNBlock(t *testing.T) {
-	// Sweep indexes [0, 1<<31): ends at the top of the positive NaN
-	// block. Too big for a unit test — instead inject a pass-through
-	// kernel and bound tightly by sweeping with a limit that lands in
-	// NaN land via a custom engine below. Cheaper: directly exercise
-	// sweepShard on a shard known to contain NaNs.
 	e, err := newEngine(Config{Func: "exp", ShardBits: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rank of the first positive NaN (+Inf bits 0x7F800000, then NaNs):
-	// sweep index = OrdBits32(0x7F800001) - 1<<31.
-	idx := uint64(fp.OrdBits32(0x7F800001)) - 1<<31
-	s := idx >> e.shardBits
-	acc := e.sweepShard(context.Background(), s)
+	acc := e.sweepShard(context.Background(), 0x7F800001>>e.shardBits)
 	if acc == nil {
 		t.Fatal("sweepShard canceled without cancellation")
 	}
 	if acc.nan == 0 {
-		t.Fatalf("shard %d should contain NaN inputs", s)
+		t.Fatal("shard should contain NaN inputs")
 	}
 	if acc.mismatched != 0 {
 		t.Errorf("NaN-in/NaN-out violated: %+v", acc.mismatches)
@@ -90,57 +77,64 @@ func TestSweepNaNBlock(t *testing.T) {
 }
 
 // TestSweepRefutesCorruptLibrary checks the sweep pinpoints exactly the
-// inputs a deliberately wrong library corrupts.
+// inputs a deliberately wrong path corrupts, and names that path: a
+// wrong scalar path beside a correct batch path, and the reverse.
 func TestSweepRefutesCorruptLibrary(t *testing.T) {
 	const stride = 251
 	const limit = 1 << 14
-	rep, err := Run(context.Background(), Config{
-		Func: "log2", Limit: limit, ShardBits: 10,
-		sliceOverride: corruptEvery(t, "log2", stride),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := uint64(0)
 	for b := uint64(0); b < limit; b += stride {
 		want++
 	}
-	if rep.Mismatched != want {
-		t.Fatalf("mismatched = %d, want %d", rep.Mismatched, want)
-	}
-	for i, m := range rep.Mismatches {
-		if m.Bits%stride != 0 {
-			t.Errorf("mismatch %d at bits %#08x not on the corruption stride", i, m.Bits)
+	for i, bad := range []string{"scalar", "batch"} {
+		rep, err := Run(context.Background(), Config{
+			Func: "log2", Limit: limit, ShardBits: 10,
+			wrap: corruptEvery(bad, stride),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.Got == m.Want {
-			t.Errorf("mismatch %d records got == want (%#08x)", i, m.Got)
+		if rep.Mismatched != want {
+			t.Fatalf("%s: mismatched = %d, want %d", bad, rep.Mismatched, want)
 		}
-	}
-	// The log must be ordinal-sorted.
-	for i := 1; i < len(rep.Mismatches); i++ {
-		if fp.OrdBits32(rep.Mismatches[i-1].Bits) >= fp.OrdBits32(rep.Mismatches[i].Bits) {
-			t.Fatalf("mismatch log not sorted at %d", i)
+		if rep.Paths[i] != bad || rep.PathMismatched[i] != want || rep.PathMismatched[1-i] != 0 {
+			t.Errorf("%s: paths %v counted %v, want %d on %s only", bad, rep.Paths, rep.PathMismatched, want, bad)
 		}
-	}
-	// Shared Result accounting: lowest-ordinal example is bits 0 (+0).
-	res := rep.TableResult()
-	if res.Wrong != int(want) || res.Example != 0 {
-		t.Errorf("TableResult = %+v, want Wrong=%d Example=0", res, want)
+		for k, m := range rep.Mismatches {
+			if m.Bits%stride != 0 {
+				t.Errorf("%s: mismatch %d at bits %#08x not on the corruption stride", bad, k, m.Bits)
+			}
+			if len(m.Paths) != 1 || m.Paths[0] != bad || len(m.Got) != 1 || m.Got[0] == m.Want {
+				t.Errorf("%s: mismatch %d = %+v, want one wrong result on %s", bad, k, m, bad)
+			}
+		}
+		// The log must be sorted by input pattern.
+		for k := 1; k < len(rep.Mismatches); k++ {
+			if rep.Mismatches[k-1].Bits >= rep.Mismatches[k].Bits {
+				t.Fatalf("%s: mismatch log not sorted at %d", bad, k)
+			}
+		}
 	}
 }
 
 // TestCheckpointResumeEquivalence is the interrupted-equals-
 // uninterrupted guarantee: cancel a sweep mid-flight, resume it, and
 // require the final mismatch accounting and the completed-shard bitmap
-// to be identical to a never-interrupted run.
+// to be identical to a never-interrupted run, for float32 and posit32.
 func TestCheckpointResumeEquivalence(t *testing.T) {
+	for _, key := range []string{"log2", "posit32.log2"} {
+		t.Run(key, func(t *testing.T) { checkResumeEquivalence(t, key) })
+	}
+}
+
+func checkResumeEquivalence(t *testing.T, key string) {
 	const stride = 251
 	const limit = 1 << 18
 	dir := t.TempDir()
 	base := Config{
-		Func: "log2", Limit: limit, ShardBits: 14, // 16 shards, 4 batches each
+		Func: key, Limit: limit, ShardBits: 14, // 16 shards, 4 batches each
 		CheckpointEvery: 1,
-		sliceOverride:   corruptEvery(t, "log2", stride),
+		wrap:            corruptEvery("batch", stride),
 	}
 
 	// Uninterrupted reference run.
@@ -231,11 +225,7 @@ func checkpointSkeleton(cfg Config) checkpoint {
 	if err != nil {
 		panic(err)
 	}
-	return checkpoint{
-		Version: checkpointVersion, Func: e.cfg.Func, Lib: e.cfg.Lib,
-		ShardBits: int(e.shardBits), Limit: e.limit, GuardUlps: e.guard,
-		Done: make([]byte, (e.nShards+7)/8),
-	}
+	return *e.newCheckpoint()
 }
 
 // TestCheckpointConfigMismatch verifies a resume against an
@@ -258,6 +248,23 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 			t.Errorf("resume with different %s accepted", name)
 		}
 	}
+
+	// A posit32 checkpoint does not resume as the float32 function of
+	// the same name, and a version-1 checkpoint is refused.
+	ppath := filepath.Join(dir, "posit.ckpt")
+	if _, err := Run(context.Background(), Config{Func: "posit32.exp", Limit: 1 << 12, ShardBits: 10, CheckpointPath: ppath}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), Config{Func: "exp", Limit: 1 << 12, ShardBits: 10, CheckpointPath: ppath, Resume: true}); err == nil {
+		t.Error("posit32 checkpoint resumed as float32")
+	}
+	old := filepath.Join(dir, "v1.ckpt")
+	if err := os.WriteFile(old, []byte(`{"version":1,"func":"exp","lib":"rlibm","shard_bits":10,"limit":4096,"guard_ulps":256,"done":"AA=="}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), Config{Func: "exp", Limit: 1 << 12, ShardBits: 10, CheckpointPath: old, Resume: true}); err == nil {
+		t.Error("version-1 checkpoint accepted")
+	}
 }
 
 // TestResumeWithoutCheckpointStartsFresh covers the first run of a
@@ -276,25 +283,6 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
-// TestSweepBitsCoversEverything checks the sweep-order bijection: the
-// first and second halves together visit every bit pattern exactly once
-// (sampled), and the order starts at +0.
-func TestSweepBitsCoversEverything(t *testing.T) {
-	if sweepBits(0) != 0 {
-		t.Errorf("sweep must start at +0, got %#08x", sweepBits(0))
-	}
-	seen := map[uint32]struct{}{}
-	for _, base := range []uint64{0, 1 << 23, 1<<31 - 40, 1 << 31, 1<<32 - 40} {
-		for i := uint64(0); i < 40; i++ {
-			b := sweepBits(base + i)
-			if _, dup := seen[b]; dup {
-				t.Fatalf("sweepBits revisits %#08x", b)
-			}
-			seen[b] = struct{}{}
-		}
-	}
-}
-
 // TestUnknownFuncAndLib checks configuration errors surface.
 func TestUnknownFuncAndLib(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Func: "tan"}); err == nil {
@@ -302,5 +290,62 @@ func TestUnknownFuncAndLib(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{Func: "ln", Lib: "no-such-lib"}); err == nil {
 		t.Error("unknown library accepted")
+	}
+	if _, err := Run(context.Background(), Config{Func: "posit32.sinpi"}); err == nil {
+		t.Error("posit32 sinpi accepted, but posit32 serves no sinpi")
+	}
+	if _, err := Run(context.Background(), Config{Func: "posit8.ln"}); err == nil {
+		t.Error("unknown representation accepted")
+	}
+}
+
+// TestWantPosit32Witnesses pins the engine's correct result for four
+// posit32 inputs the served tables are known to get wrong.
+func TestWantPosit32Witnesses(t *testing.T) {
+	for _, c := range []struct {
+		key        string
+		bits, want uint32
+	}{
+		{"posit32.exp2", 0x244bfec0, 0x408d0507},
+		{"posit32.exp10", 0x273c2250, 0x4285b88e},
+		{"posit32.exp10", 0xdde48990, 0x3d570c60},
+		{"posit32.exp", 0xff480000, 0x3ffffffd},
+	} {
+		e, err := newEngine(Config{Func: c.key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := e.want(c.bits); got != c.want {
+			t.Errorf("%s(%#08x): want decided %#08x, correct %#08x", c.key, c.bits, got, c.want)
+		}
+	}
+}
+
+// TestWantPositSaturation checks that a zero or infinite double
+// reference decides a posit result by saturation, without the oracle,
+// and that the exact zeros x = 1 of ln and x = 0 of sinh reach the
+// oracle and give 0.
+func TestWantPositSaturation(t *testing.T) {
+	const minPos, maxPos, negMaxPos = 0x00000001, 0x7fffffff, 0x80000001
+	for _, c := range []struct {
+		key        string
+		bits, want uint32
+		how        int
+	}{
+		{"posit32.exp", negMaxPos, minPos, band},
+		{"posit32.exp", maxPos, maxPos, band},
+		{"posit32.sinh", maxPos, maxPos, band},
+		{"posit32.sinh", negMaxPos, negMaxPos, band},
+		{"posit32.cosh", maxPos, maxPos, band},
+		{"posit32.ln", 0x40000000, 0, escalated},
+		{"posit32.sinh", 0, 0, escalated},
+	} {
+		e, err := newEngine(Config{Func: c.key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, how := e.want(c.bits); got != c.want || how != c.how {
+			t.Errorf("%s(%#08x) = %#08x decided by %d, want %#08x by %d", c.key, c.bits, got, how, c.want, c.how)
+		}
 	}
 }

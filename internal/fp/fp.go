@@ -123,9 +123,6 @@ func FromOrderedInt32(i int32) float32 {
 // FromOrd32 is the exact inverse.
 func Ord32(f float32) uint32 { return OrdBits32(math.Float32bits(f)) }
 
-// FromOrd32 is the inverse of Ord32.
-func FromOrd32(o uint32) float32 { return math.Float32frombits(FromOrdBits32(o)) }
-
 // OrdBits32 is Ord32 on a raw bit pattern (no float conversion), usable
 // on NaN payloads without quieting.
 func OrdBits32(b uint32) uint32 {
@@ -190,11 +187,6 @@ func IsInf32(f float32, sign int) bool {
 // and a neighbour rounds to f iff f's mantissa is even.
 func MantissaEven32(f float32) bool {
 	return math.Float32bits(f)&1 == 0
-}
-
-// MantissaEven64 is the float64 analogue of MantissaEven32.
-func MantissaEven64(f float64) bool {
-	return math.Float64bits(f)&1 == 0
 }
 
 // Midpoint32 returns the exact midpoint of two adjacent (or equal)

@@ -28,10 +28,6 @@ func (iv Interval) Contains(v float64) bool {
 	return iv.Lo <= v && v <= iv.Hi
 }
 
-// Width returns Hi - Lo (may overflow to +Inf for the huge intervals
-// around extremal values; callers use it only for tightness heuristics).
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // Intersect returns the intersection and whether it is nonempty.
 func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	r := Interval{math.Max(iv.Lo, o.Lo), math.Min(iv.Hi, o.Hi)}
@@ -122,11 +118,6 @@ type Target interface {
 	// and the special-case cutoff searches.
 	Ord(v float64) int64
 	FromOrd(i int64) float64
-}
-
-// OrdRange returns the inclusive ordinal range [Ord(a), Ord(b)].
-func OrdRange(t Target, a, b float64) (int64, int64) {
-	return t.Ord(a), t.Ord(b)
 }
 
 // Float32Target is the IEEE binary32 target.

@@ -50,9 +50,9 @@
 // operation sequence the generator validated (the same sequence
 // compile() runs; the polynomial cores are piecewise.QuadExact and
 // Dense5Exact), so their results are bit-identical to the scalar
-// library by construction. The kernel parity sweep (parity_test.go;
-// RLIBM_PARITY_FULL=1 for all 2^32 float32 inputs) checks it input by
-// input.
+// library by construction. The kernel parity sweep (parity_test.go)
+// checks it on a stratified sample, and internal/exhaust checks the
+// scalar and batch paths on every input.
 //
 // Keep every arithmetic step in sync with the Family Reduce/OC methods
 // in internal/rangered — that shared sequence is the paper's soundness

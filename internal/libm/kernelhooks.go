@@ -49,9 +49,3 @@ func Kernel64(variant, name string) (func(dst, xs []float64), bool) {
 	}
 	return nil, false
 }
-
-// ScalarFunc64 returns the compiled scalar double-precision evaluator
-// for any variant's function: the parity reference.
-func ScalarFunc64(variant, name string) (func(float64) float64, bool) {
-	return Lookup(variant, name)
-}

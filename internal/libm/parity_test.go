@@ -4,17 +4,16 @@
 // path to the last bit (float32 after its rounding, the float64
 // embeddings to the raw double bit) — any discrepancy is a kernel bug.
 //
-// Default mode sweeps a deterministic quasi-random sample of the full
-// input space per function (multiplicative-stride permutation prefix,
-// so every exponent region is hit) plus every special-case boundary;
-// -short shrinks the sample; RLIBM_PARITY_FULL=1 sweeps all 2^32
-// inputs (hours of CPU — the manual exhaustive mode). The 16-bit
+// The 32-bit variants sweep a deterministic quasi-random sample of the
+// full input space per function (multiplicative-stride permutation
+// prefix, so every exponent region is hit) plus every special-case
+// boundary; -short shrinks the sample. All 2^32 inputs of both served
+// paths are checked against the oracle by internal/exhaust. The 16-bit
 // variants are always swept exhaustively (2^16 is trivial).
 package libm_test
 
 import (
 	"math"
-	"os"
 	"testing"
 
 	"rlibm32/bfloat16"
@@ -28,9 +27,6 @@ const parityBatch = 4096
 
 // sweepSize picks the number of 32-bit patterns swept per function.
 func sweepSize(t *testing.T) uint64 {
-	if os.Getenv("RLIBM_PARITY_FULL") == "1" {
-		return 1 << 32
-	}
 	if testing.Short() {
 		return 1 << 14
 	}
@@ -39,9 +35,7 @@ func sweepSize(t *testing.T) uint64 {
 
 // pattern32 returns the i-th pattern of a deterministic permutation of
 // the 32-bit space (odd multiplier ⇒ full period): a stratified sweep
-// whose prefix of any length covers all exponent regions. In full mode
-// (n == 2^32) it degenerates to... still a permutation — every input
-// exactly once.
+// whose prefix of any length covers all exponent regions.
 func pattern32(i uint64) uint32 { return uint32(i * 2654435761) }
 
 // neighbourhoods returns every pattern within ±32 of each base pattern
@@ -105,7 +99,7 @@ func checkKernel32(t *testing.T, name string, n uint64) {
 	if !ok {
 		t.Fatalf("%s: no batch kernel", name)
 	}
-	sc, ok := libm.ScalarFunc64(libm.VariantFloat32, name)
+	sc, ok := libm.Lookup(libm.VariantFloat32, name)
 	if !ok {
 		t.Fatalf("%s: no scalar evaluator", name)
 	}
@@ -155,7 +149,7 @@ func checkKernel64(t *testing.T, variant, name string, inputs func(yield func(fl
 	if !ok {
 		t.Fatalf("%s/%s: no batch kernel", variant, name)
 	}
-	sc, ok := libm.ScalarFunc64(variant, name)
+	sc, ok := libm.Lookup(variant, name)
 	if !ok {
 		t.Fatalf("%s/%s: no scalar evaluator", variant, name)
 	}

@@ -62,8 +62,8 @@ func TestServedKernelTails(t *testing.T) {
 	f32 := libm.Float32SliceImpls()
 	p32 := libm.Posit32SliceImpls()
 	for _, name := range tailFuncs {
-		sc32, ok1 := libm.ScalarFunc64(libm.VariantFloat32, name)
-		scP, ok2 := libm.ScalarFunc64(libm.VariantPosit32, name)
+		sc32, ok1 := libm.Lookup(libm.VariantFloat32, name)
+		scP, ok2 := libm.Lookup(libm.VariantPosit32, name)
 		k32, ok3 := f32[name]
 		kP, ok4 := p32[name]
 		if !ok1 || !ok2 || !ok3 || !ok4 {

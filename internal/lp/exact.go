@@ -5,20 +5,28 @@ import (
 	"math/big"
 )
 
+// ErrIterationLimit is returned when simplex fails to terminate within
+// the iteration budget (which, with Bland's rule, indicates a bug or a
+// pathologically large problem rather than cycling).
+var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
+
+// errUnbounded reports an unbounded objective, which Solve interprets
+// as infeasibility of the primal's hard constraints.
+var errUnbounded = errors.New("lp: unbounded objective")
+
 // errInfeasibleEq reports a phase-1 optimum > 0: the equality system has
 // no nonnegative solution.
 var errInfeasibleEq = errors.New("lp: infeasible equality system")
 
-// itab is the fraction-free (integer-pivoting, Edmonds/Bareiss) variant
-// of tableau: it stores q·(tableau value) as big.Int with a single
+// itab is a fraction-free (integer-pivoting, Edmonds/Bareiss) simplex
+// tableau: it stores q·(tableau value) as big.Int with a single
 // common denominator q (the previous pivot element). A Gauss-Jordan
 // pivot then needs one multiply, one fused multiply-subtract and one
 // *exact* integer division per entry — and none of the GCD
 // normalizations that dominate big.Rat pivoting. Because q > 0 is an
 // invariant during simplex iterations, sign tests and Dantzig pricing
 // compare stored integers directly, and ratio tests cross-multiply, so
-// the pivot sequence is identical to the big.Rat tableau's: the two
-// engines return bit-identical answers.
+// the pivot sequence is the one a big.Rat tableau would take.
 type itab struct {
 	m, n   int         // constraint rows, variable columns
 	a      [][]big.Int // (m+1) x (n+1): constraint rows + objective row; last col = rhs
@@ -103,12 +111,12 @@ func (t *itab) normalize() {
 }
 
 // minimize runs simplex to optimality on the current objective row.
-// It is the integer twin of tableau.minimize: Dantzig pricing with a
+// It uses Dantzig pricing with a
 // switch to Bland's rule after a budget, leaving row by minimum ratio
 // with ties broken by smallest basis index. All comparisons are on
 // represented values (pricing compares stored entries, which share the
 // positive denominator q; ratios cross-multiply), so the pivot choices
-// match the big.Rat engine's exactly.
+// are those of exact rational simplex.
 func (t *itab) minimize() error {
 	const dantzigBudget = 2000
 	const hardLimit = 20000
@@ -165,7 +173,7 @@ func (t *itab) minimize() error {
 
 // intSolution is the outcome of solveDyadic. The multipliers are kept
 // as shared-denominator numerators (π_i = piNum_i / piDen) so callers
-// can keep verifying in pure integer arithmetic; rats() converts.
+// can keep verifying in pure integer arithmetic.
 type intSolution struct {
 	obj    *big.Rat
 	x      []*big.Rat
@@ -178,15 +186,6 @@ type intSolution struct {
 	basis []int
 }
 
-// pi converts the multipliers to big.Rat form.
-func (s *intSolution) pi() []*big.Rat {
-	out := make([]*big.Rat, len(s.piNum))
-	for i := range s.piNum {
-		out[i] = new(big.Rat).SetFrac(&s.piNum[i], &s.piDen)
-	}
-	return out
-}
-
 // errWarmStart reports that a supplied warm basis could not be
 // installed (singular or primal infeasible); the caller should re-solve
 // cold.
@@ -196,7 +195,7 @@ var errWarmStart = errors.New("lp: warm basis rejected")
 // is dyadic, using the fraction-free integer tableau. Each row is
 // scaled by a power of two 2^{s_i} so its entries become integers; the
 // artificial column for row i carries the entry 2^{s_i}, which makes
-// the integer program an exact row-rescaling of the big.Rat engine's —
+// the integer program an exact row-rescaling of the rational one —
 // every represented tableau value, reduced cost and ratio agrees with
 // the unscaled problem at every basis, so results are identical.
 //
@@ -408,48 +407,4 @@ func (t *itab) installBasis(warm []int) error {
 	}
 	t.normalize()
 	return nil
-}
-
-// dyadicize converts a solveStandard-shaped problem to dyadic form,
-// reporting false if any entry has a non-power-of-two denominator.
-func dyadicize(a [][]*big.Rat, b, cost []*big.Rat) (ad [][]dyad, bd, cd []dyad, ok bool) {
-	bd = make([]dyad, len(b))
-	for i, v := range b {
-		if !bd[i].setRat(v) {
-			return nil, nil, nil, false
-		}
-	}
-	cd = make([]dyad, len(cost))
-	for j, v := range cost {
-		if !cd[j].setRat(v) {
-			return nil, nil, nil, false
-		}
-	}
-	ad = make([][]dyad, len(a))
-	for i, row := range a {
-		ad[i] = make([]dyad, len(row))
-		for j, v := range row {
-			if !ad[i][j].setRat(v) {
-				return nil, nil, nil, false
-			}
-		}
-	}
-	return ad, bd, cd, true
-}
-
-// solveStandard solves min costᵀ x s.t. A x = b, x >= 0 using two-phase
-// simplex, returning the optimal objective, the primal solution x, and
-// the simplex multipliers π. Dyadic problems (the only kind the
-// pipeline issues) run on the fraction-free integer tableau; anything
-// else falls back to the big.Rat tableau. Both engines make identical
-// pivot choices, so the answers agree bit for bit.
-func solveStandard(a [][]*big.Rat, b []*big.Rat, cost []*big.Rat) (obj *big.Rat, x []*big.Rat, pi []*big.Rat, err error) {
-	if ad, bd, cd, ok := dyadicize(a, b, cost); ok {
-		sol, err := solveDyadic(ad, bd, cd, nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sol.obj, sol.x, sol.pi(), nil
-	}
-	return solveStandardRat(a, b, cost)
 }

@@ -9,6 +9,33 @@ import (
 
 func rat(x float64) *big.Rat { return RatFromFloat(x) }
 
+// solveStandard runs solveDyadic on min costᵀx s.t. Ax = b, x >= 0
+// given in big.Rat form, returning the objective, the primal solution
+// and the simplex multipliers π.
+func solveStandard(a [][]*big.Rat, b, cost []*big.Rat) (obj *big.Rat, x, pi []*big.Rat, err error) {
+	dyads := func(rs []*big.Rat) []dyad {
+		ds := make([]dyad, len(rs))
+		for i, r := range rs {
+			if !ds[i].setRat(r) {
+				panic("lp: test problem is not dyadic")
+			}
+		}
+		return ds
+	}
+	ad := make([][]dyad, len(a))
+	for i, row := range a {
+		ad[i] = dyads(row)
+	}
+	sol, err := solveDyadic(ad, dyads(b), dyads(cost), nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i := range sol.piNum {
+		pi = append(pi, new(big.Rat).SetFrac(&sol.piNum[i], &sol.piDen))
+	}
+	return sol.obj, sol.x, pi, nil
+}
+
 func TestSolveStandardKnown(t *testing.T) {
 	// min -x1 - 2x2  s.t.  x1 + x2 + s1 = 4; x1 + 3x2 + s2 = 6; x >= 0.
 	// Optimum at x1=3, x2=1: objective -5.

@@ -1,3 +1,27 @@
+// Package lp is this repository's stand-in for SoPlex: an exact linear
+// programming solver over dyadic rationals (binary fractions, the only
+// kind a float64-derived constraint produces), specialized to the
+// polynomial-fitting queries issued by the RLIBM-32 pipeline.
+//
+// The pipeline's query is: given reduced inputs r_i with reduced
+// intervals [l_i, h_i], find coefficients c such that
+//
+//	l_i <= Σ_j c_j · r_i^(e_j) <= h_i   for all i,
+//
+// where e_j are the monomial exponents (possibly odd/even-restricted).
+// Rather than running simplex on the primal — whose basis would grow
+// with the sample size — Solve maximizes the feasibility margin
+//
+//	max δ  s.t.  l_i + δ <= Σ_j c_j r_i^(e_j) <= h_i − δ
+//
+// and solves the *dual*, which has only (number of terms + 1) equality
+// rows no matter how many constraints the sample contains. The primal
+// coefficients are recovered from the optimal dual multipliers and then
+// re-verified against every constraint in exact arithmetic, so a
+// feasible answer from this package is certified, not just claimed.
+// The margin-maximizing (Chebyshev-style) solution also leaves the
+// largest possible slack for reduced inputs that were not sampled,
+// which is exactly what counterexample-guided generation wants.
 package lp
 
 import (
@@ -123,8 +147,7 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 	s.Stats.Solves++
 	cons, ok := s.prepare(p)
 	if !ok {
-		// Non-dyadic rationals in the input: take the legacy path.
-		return solveRat(p)
+		return nil, fmt.Errorf("lp: constraints must be dyadic (see RatFromFloat)")
 	}
 	lpCons, conflict, merged := mergeDuplicates(cons)
 	if conflict {
@@ -448,95 +471,6 @@ func resultFromDyads(piNum []dyad, den *big.Int, n int) *Result {
 	res.Dist.Quo(res.Dist, denRat)
 	res.Dist.Neg(res.Dist)
 	return res
-}
-
-// solveRat is the legacy all-big.Rat path, kept for problems whose
-// rationals are not dyadic (never produced by the pipeline, but part of
-// the package API).
-func solveRat(p *Problem) (*Result, error) {
-	n := len(p.Terms)
-	m := len(p.Cons)
-	cols := 4 * m
-	rows := n + 1
-	a := make([][]*big.Rat, rows)
-	for i := range a {
-		a[i] = make([]*big.Rat, cols)
-		for j := range a[i] {
-			a[i][j] = new(big.Rat)
-		}
-	}
-	cost := make([]*big.Rat, cols)
-	b := make([]*big.Rat, rows)
-	for i := range b {
-		b[i] = new(big.Rat)
-	}
-	b[n].SetInt64(1)
-	half := big.NewRat(1, 2)
-	minW := new(big.Rat)
-	for _, con := range p.Cons {
-		w := new(big.Rat).Sub(con.Hi, con.Lo)
-		if w.Sign() > 0 && (minW.Sign() == 0 || w.Cmp(minW) < 0) {
-			minW.Set(w)
-		}
-	}
-	if minW.Sign() == 0 {
-		minW.SetInt64(1) // all constraints are exact points
-	}
-	for i, con := range p.Cons {
-		for j, e := range p.Terms {
-			pw := ratPow(con.X, e)
-			a[j][4*i].Set(pw)
-			a[j][4*i+1].Neg(pw)
-			a[j][4*i+2].Set(pw)
-			a[j][4*i+3].Neg(pw)
-		}
-		w := new(big.Rat).Sub(con.Hi, con.Lo)
-		w.Mul(w, half)
-		if w.Sign() == 0 {
-			w.Set(minW)
-			w.Mul(w, half)
-		}
-		a[n][4*i].Set(w)
-		a[n][4*i+1].Set(w)
-		v := con.V
-		if v == nil {
-			v = new(big.Rat).Add(con.Lo, con.Hi)
-			v.Mul(v, half)
-		} else {
-			if v.Cmp(con.Lo) < 0 {
-				v = con.Lo
-			} else if v.Cmp(con.Hi) > 0 {
-				v = con.Hi
-			}
-		}
-		cost[4*i] = new(big.Rat).Set(v)
-		cost[4*i+1] = new(big.Rat).Neg(v)
-		cost[4*i+2] = new(big.Rat).Set(con.Hi)
-		cost[4*i+3] = new(big.Rat).Neg(con.Lo)
-	}
-	_, _, pi, err := solveStandard(a, b, cost)
-	if err != nil {
-		if err == errUnbounded {
-			// Unbounded dual ⇔ infeasible hard constraints.
-			return &Result{Feasible: false, Dist: nil}, nil
-		}
-		return nil, err
-	}
-	// π = (c_0..c_{n-1}, τ) with τ = −t* (the primal minimizes t).
-	res := &Result{
-		Feasible: true,
-		Coeffs:   pi[:n],
-		Dist:     new(big.Rat).Neg(pi[n]),
-	}
-	// Certify: exact re-check of every hard constraint.
-	for _, con := range p.Cons {
-		v := EvalRat(res.Coeffs, p.Terms, con.X)
-		if v.Cmp(con.Lo) < 0 || v.Cmp(con.Hi) > 0 {
-			return nil, fmt.Errorf("lp: internal error: recovered solution violates a constraint (P(%v)=%v not in [%v,%v])",
-				con.X, v, con.Lo, con.Hi)
-		}
-	}
-	return res, nil
 }
 
 // EvalRat evaluates Σ_j c_j x^(terms_j) exactly.

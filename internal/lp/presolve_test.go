@@ -208,8 +208,8 @@ func TestWarmStartAcrossRefinement(t *testing.T) {
 }
 
 // BenchmarkSolveEngines compares the layered fast paths against the
-// exact engine alone and the legacy big.Rat tableau on the same
-// 100-constraint instance BenchmarkSolve100Constraints uses.
+// exact engine alone on the same 100-constraint instance
+// BenchmarkSolve100Constraints uses.
 func BenchmarkSolveEngines(b *testing.B) {
 	p := expFitProblem(1, 100, 1e-8)
 	b.Run("full", func(b *testing.B) {
@@ -224,13 +224,6 @@ func BenchmarkSolveEngines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := &Solver{NoPresolve: true, NoWarm: true}
 			if _, err := s.Solve(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacyRat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := solveRat(p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -248,11 +248,6 @@ func PrecomputeFloat32(f bigfp.Func, xs []float32) {
 	precompute(len(xs), func(i int) { cachedFloat32(f, float64(xs[i])) })
 }
 
-// PrecomputeFloat64 bulk-fills the float64 oracle cache for f over xs.
-func PrecomputeFloat64(f bigfp.Func, xs []float64) {
-	precompute(len(xs), func(i int) { cachedFloat64(f, xs[i]) })
-}
-
 // PrecomputePosit32 bulk-fills the posit32 oracle cache for f over ps.
 func PrecomputePosit32(f bigfp.Func, ps []posit32.Posit) {
 	precompute(len(ps), func(i int) { cachedPosit32(f, ps[i].Float64()) })

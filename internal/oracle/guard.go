@@ -11,16 +11,12 @@
 // distrust the approximation — must the full Ziv ladder run.
 package oracle
 
-import (
-	"math"
-
-	"rlibm32/internal/bigfp"
-)
+import "math"
 
 // DefaultGuardUlps is the guard-band half-width used by the exhaustive
 // verifier, in float64 ulps of the reference value. The double
 // references (Go's math package plus the compensated exp10/sinpi/cospi
-// in internal/exhaust) are accurate to a few ulps; 256 leaves two
+// in ref.go) are accurate to a few ulps; 256 leaves two
 // orders of magnitude of slack while keeping the expected escalation
 // fraction near 2*256*2^-52 / 2^-24 ≈ 2^-19 of inputs.
 const DefaultGuardUlps = 256
@@ -45,26 +41,18 @@ func RoundDecided32(ref float64, guardUlps float64) (float32, bool) {
 	if math.IsInf(ref, 0) || ref == 0 {
 		return float32(ref), true
 	}
-	// Conservative band: guardUlps * (2^-52|ref| + 2^-1074) bounds
-	// guardUlps ulps for every finite ref, normal or subnormal.
-	eps := float64(guardUlps * (float64(0x1p-52*math.Abs(ref)) + 0x1p-1074))
-	a := float32(ref - eps)
-	b := float32(ref + eps)
-	if a == b {
+	lo, hi := GuardBand(ref, guardUlps)
+	if float32(lo) == float32(hi) {
 		return float32(ref), true
 	}
 	return float32(ref), false
 }
 
-// Float32Guarded returns the correctly rounded float32 of f(x) using
-// the two-tier scheme: if the guard band around ref (a double
-// approximation of f(x) accurate to guardUlps float64 ulps) decides the
-// rounding, that value is returned without touching the Ziv ladder;
-// otherwise the memoized arbitrary-precision oracle is consulted.
-// escalated reports which tier answered.
-func Float32Guarded(f bigfp.Func, x, ref float64, guardUlps float64) (v float32, escalated bool) {
-	if v, ok := RoundDecided32(ref, guardUlps); ok {
-		return v, false
-	}
-	return Float32(f, x), true
+// GuardBand returns the band [ref-eps, ref+eps] that holds the true
+// value when ref is accurate to within guardUlps float64 ulps. eps =
+// guardUlps * (2^-52|ref| + 2^-1074) bounds guardUlps ulps for every
+// finite ref, normal or subnormal.
+func GuardBand(ref, guardUlps float64) (lo, hi float64) {
+	eps := float64(guardUlps * (float64(0x1p-52*math.Abs(ref)) + 0x1p-1074))
+	return ref - eps, ref + eps
 }

@@ -144,6 +144,16 @@ func float32Uncached(f bigfp.Func, x float64) float32 {
 			return v
 		}
 	}
+	return Float32Ziv(f, x)
+}
+
+// Float32Ziv returns the correctly rounded float32 value of f(x) from
+// the Ziv ladder alone, without the cache or tier 0: the independent
+// check of a rounding that tier 0's reference and guard band decided.
+func Float32Ziv(f bigfp.Func, x float64) float32 {
+	if y, ok := domainEdge(f, x); ok {
+		return float32(y)
+	}
 	s := zivPool.Get().(*zivScratch)
 	defer zivPool.Put(s)
 	var last float32

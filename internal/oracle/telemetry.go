@@ -38,15 +38,6 @@ type ZivStats struct {
 	Fallback uint64    // 400-bit interval straddled; center accepted
 }
 
-// Runs returns the total number of uncached ladder entries.
-func (z ZivStats) Runs() uint64 {
-	n := z.Tier0 + z.Fallback
-	for _, v := range z.ByPrec {
-		n += v
-	}
-	return n
-}
-
 // MaxPrec returns the highest precision any evaluation needed (0 when
 // nothing ran or everything was tier-0).
 func (z ZivStats) MaxPrec() uint {

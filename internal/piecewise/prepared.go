@@ -1,9 +1,6 @@
 package piecewise
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // Prepared is the batch-kernel evaluation layout of a Table: the same
 // coefficients, re-packed so the hot loop needs no multiplies, no
@@ -103,15 +100,4 @@ func Dense5Exact(c0, c1, c2, c3, c4, r float64) float64 {
 	p = float64(p*r) + c2
 	p = float64(p*r) + c1
 	return float64(p*r) + c0
-}
-
-// Row returns the padded coefficient row for a reduced input r, keyed
-// branchlessly: the sign bit is masked off, the magnitude bits are
-// clamped to [MinBits, MaxBits] with min/max (compiled to conditional
-// moves, not branches), and the sub-domain bits select the row.
-func (p *Prepared) Row(r float64) []float64 {
-	b := math.Float64bits(r) &^ (1 << 63)
-	b = min(max(b, p.MinBits), p.MaxBits)
-	i := int((b>>p.Shift)&p.Mask) << p.RowShift
-	return p.Coeffs[i:]
 }

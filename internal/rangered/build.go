@@ -100,20 +100,6 @@ func Build(name string, v Variant) (Family, error) {
 	return nil, fmt.Errorf("rangered: unknown function %q", name)
 }
 
-// All builds every family of the variant.
-func All(v Variant) ([]Family, error) {
-	names := Names(v)
-	fams := make([]Family, 0, len(names))
-	for _, n := range names {
-		f, err := Build(n, v)
-		if err != nil {
-			return nil, err
-		}
-		fams = append(fams, f)
-	}
-	return fams, nil
-}
-
 // maxInput returns the largest finite positive input of the variant.
 func maxInput(v Variant) float64 {
 	switch v {

@@ -78,20 +78,6 @@ type Family interface {
 	SampleDomains() [][2]float64
 }
 
-// EvalWith runs the full non-special pipeline for x using the supplied
-// polynomial evaluators (one per reduced function), returning the
-// double-precision result before the final rounding to the target.
-// Generator-side validation uses this; the runtime library implements
-// the same sequence with concrete inlined calls.
-func EvalWith(f Family, x float64, polys []func(float64) float64) float64 {
-	r, c := f.Reduce(x)
-	var vals [2]float64
-	for i, p := range polys {
-		vals[i] = p(r)
-	}
-	return f.OC(vals, c)
-}
-
 // Exp2i returns 2^m exactly for -1022 <= m <= 1023 via direct bit
 // construction (value-identical to math.Ldexp(1, m), several times
 // faster; the generator and runtime share this helper, so there is no

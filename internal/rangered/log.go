@@ -72,13 +72,6 @@ func (f *LogFamily) Special(x float64) (float64, bool) {
 	return 0, false
 }
 
-// Ordinary reports whether x takes the polynomial path (the exact
-// complement of Special, small enough to inline into batch loops; NaN
-// fails both comparisons).
-func (f *LogFamily) Ordinary(x float64) bool {
-	return x > 0 && x < math.Inf(1)
-}
-
 // Reduce implements Family.
 func (f *LogFamily) Reduce(x float64) (float64, Ctx) {
 	// Frexp by bit extraction: positive normal doubles (every float32

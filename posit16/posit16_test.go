@@ -1,26 +1,27 @@
 package posit16_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"rlibm32/internal/checks"
+	"rlibm32/internal/exhaust"
 	"rlibm32/posit16"
 )
 
 // TestExhaustivelyCorrect verifies every one of the 65536 posit16
 // inputs of every function against the oracle.
 func TestExhaustivelyCorrect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy (≈1s per function)")
-	}
 	for _, name := range posit16.Names() {
-		res := checks.CheckMini("posit16", "rlibm", name)
-		if res.Tested <= 0 {
-			t.Fatalf("%s: no implementation", name)
+		rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: "posit16." + name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if !res.Correct() {
-			t.Errorf("%s: %d/%d wrong results (e.g. x=%v)", name, res.Wrong, res.Tested, res.Example)
+		if !rep.Complete || rep.Inputs != 1<<16 {
+			t.Fatalf("%s: swept %d inputs, want all 65536", name, rep.Inputs)
+		}
+		if rep.Mismatched != 0 {
+			t.Errorf("%s: %d/%d wrong results (e.g. %+v)", name, rep.Mismatched, rep.Inputs, rep.Mismatches[0])
 		}
 	}
 }
