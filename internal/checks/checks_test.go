@@ -3,10 +3,6 @@ package checks
 import (
 	"math"
 	"testing"
-
-	"rlibm32/internal/oracle"
-
-	rlibm "rlibm32"
 )
 
 func TestSampleFloat32Properties(t *testing.T) {
@@ -73,129 +69,6 @@ func TestSamplePosit32Properties(t *testing.T) {
 	for _, p := range ps {
 		if p.IsNaR() {
 			t.Fatal("NaR in sample")
-		}
-	}
-}
-
-func TestCheckFloat32MultiAgreesWithSingle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy")
-	}
-	xs := SampleFloat32(3000)
-	libs := []string{"rlibm", "fastfloat"}
-	multi := CheckFloat32Multi(libs, "exp", xs)
-	for i, lib := range libs {
-		single := CheckFloat32(lib, "exp", xs)
-		if multi[i].Wrong != single.Wrong {
-			t.Errorf("%s: multi=%d single=%d", lib, multi[i].Wrong, single.Wrong)
-		}
-	}
-}
-
-func TestResultCorrect(t *testing.T) {
-	if !(Result{Wrong: 0}).Correct() || (Result{Wrong: 1}).Correct() {
-		t.Error("Correct() misreports")
-	}
-}
-
-// withBrokenImpl installs a synthetic library that copies rlibm exp but
-// returns garbage on the given inputs, and undoes it on cleanup.
-func withBrokenImpl(t *testing.T, badInputs ...float32) {
-	t.Helper()
-	good, _ := rlibm.Func("exp")
-	bad := make(map[float32]struct{}, len(badInputs))
-	for _, x := range badInputs {
-		bad[x] = struct{}{}
-	}
-	implOverride = func(lib, name string) func(float32) float32 {
-		if lib != "broken" {
-			return nil
-		}
-		return func(x float32) float32 {
-			if _, hit := bad[x]; hit {
-				return 42.5
-			}
-			return good(x)
-		}
-	}
-	t.Cleanup(func() { implOverride = nil })
-}
-
-// TestExampleAtZeroReported is the regression test for the Example==0
-// sentinel bug: a wrong result at input 0 must be counted AND reported
-// as the example (the old accumulator silently dropped it).
-func TestExampleAtZeroReported(t *testing.T) {
-	withBrokenImpl(t, 0)
-	xs := []float32{5, 3, 0, 7}
-	res := CheckFloat32("broken", "exp", xs)
-	if res.Wrong != 1 {
-		t.Fatalf("Wrong = %d, want 1", res.Wrong)
-	}
-	if res.Example != 0 {
-		t.Errorf("Example = %v, want 0", res.Example)
-	}
-}
-
-// TestExampleLowestOrdinal checks the deterministic-example contract:
-// the reported example is the lowest-ordinal wrong input (the most
-// negative one), independent of worker chunking.
-func TestExampleLowestOrdinal(t *testing.T) {
-	withBrokenImpl(t, -3, 0, 5)
-	xs := []float32{7, 5, 1, 0, -1.5, -3}
-	for trial := 0; trial < 3; trial++ {
-		res := CheckFloat32("broken", "exp", xs)
-		if res.Wrong != 3 {
-			t.Fatalf("Wrong = %d, want 3", res.Wrong)
-		}
-		if res.Example != -3 {
-			t.Errorf("Example = %v, want -3 (lowest ordinal)", res.Example)
-		}
-		multi := CheckFloat32Multi([]string{"broken", "rlibm"}, "exp", xs)
-		if multi[0].Example != -3 || multi[0].Wrong != 3 {
-			t.Errorf("multi: Example = %v Wrong = %d, want -3/3", multi[0].Example, multi[0].Wrong)
-		}
-		if multi[1].Wrong != 0 {
-			t.Errorf("rlibm column polluted: %+v", multi[1])
-		}
-	}
-}
-
-// TestOracleRunsOncePerInput is the counting-oracle acceptance test:
-// a full multi-library Table 1 cell — plus redundant per-library
-// re-checks — must run the Ziv oracle exactly once per (func, input).
-func TestOracleRunsOncePerInput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy")
-	}
-	oracle.ResetCache()
-	defer oracle.ResetCache()
-	xs := SampleFloat32(1500)
-	libs := []string{"rlibm", "fastfloat", "stddouble"}
-	CheckFloat32Multi(libs, "exp", xs)
-	if got := oracle.Stats().Misses; got != uint64(len(xs)) {
-		t.Fatalf("multi-library check: %d oracle evaluations for %d inputs", got, len(xs))
-	}
-	// Per-library re-checks must add no evaluations at all.
-	for _, lib := range libs {
-		CheckFloat32(lib, "exp", xs)
-	}
-	if got := oracle.Stats().Misses; got != uint64(len(xs)) {
-		t.Errorf("re-checks re-ran the oracle: %d evaluations for %d inputs", got, len(xs))
-	}
-}
-
-// BenchmarkCheckMultiLib measures the Table 1 scenario the shared
-// oracle cache accelerates: three library columns checked over one
-// sample (the EXPERIMENTS.md before/after benchmark; the seed re-ran
-// the oracle once per column).
-func BenchmarkCheckMultiLib(b *testing.B) {
-	xs := SampleFloat32(2000)[:2000]
-	libs := []string{"rlibm", "fastfloat", "stddouble"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oracle.ResetCache() // cold cache: include the one oracle pass
-		for _, lib := range libs {
-			CheckFloat32(lib, "ln", xs)
 		}
 	}
 }

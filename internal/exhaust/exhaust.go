@@ -24,13 +24,18 @@
 // against the same correctly rounded result, and mismatches are
 // counted per path.
 //
-// The sweep visits bit patterns in ascending order, in contiguous
-// shards: workers claim shards from an atomic counter and fold
-// per-shard results into a collector that maintains a completed-shard
-// bitmap. The bitmap plus counters and mismatch log checkpoint to disk
-// via atomic rename (checkpoint.go), so an interrupted sweep resumes
-// from the last completed shard with accounting identical to an
-// uninterrupted run.
+// The same engine checks an explicit list of bit patterns
+// (Config.Inputs): rlibmcheck's Tables 1 and 2 and the tier-1 tests
+// check the deterministic samples of internal/checks this way, so
+// there is one definition of a wrong result, sampled or not.
+//
+// The sweep visits bit patterns in ascending order (or the listed
+// ones in list order), in contiguous shards: workers claim shards from
+// an atomic counter and fold per-shard results into a collector that
+// maintains a completed-shard bitmap. The bitmap plus counters and
+// mismatch log checkpoint to disk via atomic rename (checkpoint.go),
+// so an interrupted sweep resumes from the last completed shard with
+// accounting identical to an uninterrupted run.
 package exhaust
 
 import (
@@ -38,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"sort"
@@ -81,12 +87,19 @@ type Config struct {
 	Lib string
 	// Workers is the sweep parallelism (default GOMAXPROCS).
 	Workers int
-	// ShardBits is log2 of the shard size in inputs (default 20, i.e.
-	// 4096 shards of 1Mi inputs for a 32-bit sweep, and 10 for a 16-bit
-	// one, so its 64 shards keep every worker busy). Valid range 8..30.
+	// Inputs, when non-nil, lists the bit patterns to check, in place
+	// of every pattern of the representation. Each is checked as
+	// listed, duplicates included, by the same per-input decision and
+	// served paths as a full sweep. A listed run takes no checkpoint.
+	Inputs []uint32
+	// ShardBits is log2 of the shard size in inputs. The default grows
+	// with the input set (2^width patterns, or len(Inputs)) to give
+	// about 128 shards, clamped to [8, 20]: 4096 shards of 1Mi inputs
+	// for a 32-bit sweep, and 64 for a 16-bit one, so every worker
+	// stays busy. Valid range 8..30.
 	ShardBits int
-	// Limit bounds the sweep to the first Limit bit patterns (0 = all
-	// of them). The sweep starts at pattern 0 and walks upward, so
+	// Limit bounds the sweep to the first Limit inputs (0 = all of
+	// them). A full sweep starts at pattern 0 and walks upward, so
 	// bounded CI slices cover zero and the smallest positive values
 	// first.
 	Limit uint64
@@ -289,6 +302,7 @@ type engine struct {
 	ref           func(float64) float64
 	paths         []path
 	guard         float64
+	inputs        []uint32 // the listed patterns; nil sweeps 0, 1, 2, ...
 	shardBits     uint
 	limit         uint64
 	nShards       uint64
@@ -642,16 +656,28 @@ func newEngine(cfg Config) (*engine, error) {
 			paths[i].eval = cfg.wrap(paths[i].name, paths[i].eval)
 		}
 	}
+	n := uint64(1) << f.width
+	if cfg.Inputs != nil {
+		if cfg.CheckpointPath != "" {
+			return nil, errors.New("exhaust: a listed run takes no checkpoint")
+		}
+		for _, b := range cfg.Inputs {
+			if uint64(b) >= n {
+				return nil, fmt.Errorf("exhaust: input %#x is not a %d-bit pattern", b, f.width)
+			}
+		}
+		n = uint64(len(cfg.Inputs))
+	}
 	shardBits := cfg.ShardBits
 	if shardBits == 0 {
-		shardBits = min(20, int(f.width)-6)
+		shardBits = min(max(bits.Len64(n)-7, 8), 20)
 	}
 	if shardBits < 8 || shardBits > 30 {
 		return nil, fmt.Errorf("exhaust: shard bits %d outside [8, 30]", shardBits)
 	}
 	limit := cfg.Limit
-	if limit == 0 || limit > 1<<f.width {
-		limit = 1 << f.width
+	if limit == 0 || limit > n {
+		limit = n
 	}
 	guard := cfg.GuardUlps
 	if guard <= 0 {
@@ -660,7 +686,7 @@ func newEngine(cfg Config) (*engine, error) {
 	shardSize := uint64(1) << shardBits
 	return &engine{
 		cfg: cfg, variant: variant, name: name, f: f, nan: f.encode(math.NaN()),
-		of: of, ref: ref, paths: paths, guard: guard,
+		of: of, ref: ref, paths: paths, guard: guard, inputs: cfg.Inputs,
 		shardBits: uint(shardBits), limit: limit,
 		nShards: (limit + shardSize - 1) / shardSize,
 	}, nil
@@ -684,8 +710,12 @@ func (e *engine) sweepShard(ctx context.Context, s uint64) *shardAcc {
 			return nil
 		}
 		n := int(min(hi-base, batchSize))
-		for j := range src[:n] {
-			src[j] = uint32(base) + uint32(j)
+		if e.inputs != nil {
+			copy(src, e.inputs[base:base+uint64(n)])
+		} else {
+			for j := range src[:n] {
+				src[j] = uint32(base) + uint32(j)
+			}
 		}
 		for i, p := range e.paths {
 			p.eval(got[i][:n], src[:n])

@@ -2,6 +2,7 @@ package exhaust
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -347,5 +348,90 @@ func TestWantPositSaturation(t *testing.T) {
 		if got, how := e.want(c.bits); got != c.want || how != c.how {
 			t.Errorf("%s(%#08x) = %#08x decided by %d, want %#08x by %d", c.key, c.bits, got, how, c.want, c.how)
 		}
+	}
+}
+
+// TestListedMatchesBounded checks that listing patterns 0 through
+// 2^16-1 gives the report a Limit-bounded sweep of the same patterns
+// gives, down to the per-path counts and the mismatch log.
+func TestListedMatchesBounded(t *testing.T) {
+	const limit = 1 << 16
+	inputs := make([]uint32, limit)
+	for i := range inputs {
+		inputs[i] = uint32(i)
+	}
+	wrap := corruptEvery("batch", 251)
+	bounded, err := Run(context.Background(), Config{Func: "posit32.sinh", Limit: limit, wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed, err := Run(context.Background(), Config{Func: "posit32.sinh", Inputs: inputs, wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !listed.Complete || listed.Inputs != limit || listed.Mismatched == 0 {
+		t.Fatalf("listed run unusable: %+v", listed)
+	}
+	type counts struct {
+		Inputs, NaN, Filtered, Escalated, Mismatched uint64
+		Paths                                        []string
+		PathMismatched                               []uint64
+		Mismatches                                   []Mismatch
+	}
+	view := func(r *Report) counts {
+		return counts{r.Inputs, r.NaNInputs, r.Filtered, r.Escalated, r.Mismatched, r.Paths, r.PathMismatched, r.Mismatches}
+	}
+	if got, want := view(listed), view(bounded); !reflect.DeepEqual(got, want) {
+		t.Errorf("listed report differs from the bounded sweep:\nlisted  %+v\nbounded %+v", got, want)
+	}
+}
+
+// TestListedRefutesCorruptPath checks a listed run over an unsorted
+// list holding pattern 0 twice: every listed occurrence of a wrong
+// input is counted, and the log is in pattern order and names the
+// wrong path.
+func TestListedRefutesCorruptPath(t *testing.T) {
+	f := math.Float32bits
+	bad := map[uint32]bool{0: true, f(-3): true, f(5): true}
+	wrap := func(name string, eval evalFunc) evalFunc {
+		if name != "scalar" {
+			return eval
+		}
+		return func(dst, src []uint32) {
+			eval(dst, src)
+			for i, b := range src {
+				if bad[b] {
+					dst[i]++
+				}
+			}
+		}
+	}
+	inputs := []uint32{f(5), f(3), 0, f(7), f(-1.5), f(-3), 0}
+	rep, err := Run(context.Background(), Config{Func: "exp", Inputs: inputs, wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Inputs != 7 || rep.Mismatched != 4 || rep.PathMismatched[0] != 4 || rep.PathMismatched[1] != 0 {
+		t.Fatalf("inputs %d, mismatched %d, per path %v %v; want 7, 4, scalar 4 and batch 0",
+			rep.Inputs, rep.Mismatched, rep.Paths, rep.PathMismatched)
+	}
+	for k, want := range []uint32{0, 0, f(5), f(-3)} {
+		m := rep.Mismatches[k]
+		if m.Bits != want || len(m.Paths) != 1 || m.Paths[0] != "scalar" {
+			t.Errorf("mismatch %d = %+v, want bits %#08x on scalar", k, m, want)
+		}
+	}
+}
+
+// TestListedRunRefusals checks that a listed run takes no checkpoint
+// (it could not tell two lists apart) and no pattern wider than the
+// representation.
+func TestListedRunRefusals(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "listed.ckpt")
+	if _, err := Run(context.Background(), Config{Func: "exp", Inputs: []uint32{0}, CheckpointPath: path}); err == nil {
+		t.Error("listed run accepted a checkpoint")
+	}
+	if _, err := Run(context.Background(), Config{Func: "bfloat16.exp", Inputs: []uint32{1 << 16}}); err == nil {
+		t.Error("17-bit pattern accepted for bfloat16")
 	}
 }

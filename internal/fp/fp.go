@@ -166,16 +166,6 @@ func NextDown32(f float32) float32 {
 // IsNaN32 reports whether f is a NaN.
 func IsNaN32(f float32) bool { return f != f }
 
-// Same32 reports whether two float32 results agree for correctness
-// harness purposes: equal values, or both NaN (any payloads). Note +0
-// and -0 compare equal, matching the harness convention.
-func Same32(a, b float32) bool {
-	if a != a && b != b {
-		return true
-	}
-	return a == b
-}
-
 // IsInf32 reports whether f is an infinity (either sign when sign==0,
 // or the given sign).
 func IsInf32(f float32, sign int) bool {

@@ -1,12 +1,11 @@
 // Concurrent sharded memoization of oracle results.
 //
-// A correctness harness evaluates the same (function, input) pair once
-// per library column, and the generator's counterexample loop
-// re-validates the same sample every outer round: the Ziv ladder
-// (microseconds per input) dominates both. The cache below makes every
-// repeat evaluation a map lookup. It is sharded to keep lock
-// contention negligible under the harnesses' GOMAXPROCS worker pools,
-// and stores results as raw bit patterns (4 or 8 bytes per entry).
+// The generator's counterexample loop re-validates the same sample
+// every outer round, and the Ziv ladder (microseconds per input)
+// dominates that cost. The cache below makes every repeat evaluation a
+// map lookup. It is sharded to keep lock contention negligible under
+// GOMAXPROCS worker pools, and stores results as raw bit patterns (4
+// or 8 bytes per entry).
 package oracle
 
 import (
@@ -73,10 +72,10 @@ var (
 	cacheMisses atomic.Uint64
 )
 
-// CacheStats reports cache effectiveness. Misses counts actual Ziv
-// ladder runs: after a full multi-library table run it equals the
-// number of distinct (function, input) pairs — the "oracle runs once
-// per (func, sample)" guarantee the counting tests assert.
+// CacheStats reports cache effectiveness. Misses counts uncached
+// evaluations: after a bulk fill it equals the number of distinct
+// (function, input) pairs — the "oracle runs once per (func, input)"
+// guarantee the counting test asserts.
 type CacheStats struct {
 	Hits, Misses uint64
 }
@@ -240,17 +239,6 @@ func precompute(n int, eval func(i int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// PrecomputeFloat32 bulk-fills the float32 oracle cache for f over xs.
-// After it returns, Float32(f, x) is a lookup for every x in xs.
-func PrecomputeFloat32(f bigfp.Func, xs []float32) {
-	precompute(len(xs), func(i int) { cachedFloat32(f, float64(xs[i])) })
-}
-
-// PrecomputePosit32 bulk-fills the posit32 oracle cache for f over ps.
-func PrecomputePosit32(f bigfp.Func, ps []posit32.Posit) {
-	precompute(len(ps), func(i int) { cachedPosit32(f, ps[i].Float64()) })
 }
 
 // PrecomputeTarget bulk-fills the target-generic cache for f over xs

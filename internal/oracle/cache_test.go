@@ -7,7 +7,6 @@ import (
 
 	"rlibm32/internal/bigfp"
 	"rlibm32/internal/interval"
-	"rlibm32/posit32"
 )
 
 // tableFuncs are the ten functions of the Table 1/2 reproductions.
@@ -126,30 +125,33 @@ func TestCachedTargetGeneric(t *testing.T) {
 }
 
 // TestCacheCountsOnce asserts the precompute-then-read contract: after
-// a bulk fill, any number of reader passes performs zero further Ziv
-// evaluations.
+// a bulk fill, any number of reader passes performs zero further
+// evaluations, for the dedicated float32 and posit32 caches and for
+// the generic one.
 func TestCacheCountsOnce(t *testing.T) {
-	ResetCache()
 	defer ResetCache()
-	xs := make([]float32, 200)
+	xs := make([]float64, 200)
 	for i := range xs {
-		xs[i] = 0.25 + float32(i)*0.125
+		xs[i] = 0.25 + float64(i)*0.125
 	}
-	PrecomputeFloat32(bigfp.Exp, xs)
-	if got := Stats().Misses; got != uint64(len(xs)) {
-		t.Fatalf("precompute misses = %d, want %d", got, len(xs))
-	}
-	for pass := 0; pass < 3; pass++ {
-		for _, x := range xs {
-			Float32(bigfp.Exp, float64(x))
+	for _, tgt := range []interval.Target{interval.Float32Target{}, interval.Posit32Target{}, interval.BFloat16Target()} {
+		ResetCache()
+		PrecomputeTarget(tgt, bigfp.Exp, xs)
+		if got := Stats().Misses; got != uint64(len(xs)) {
+			t.Fatalf("%s: precompute misses = %d, want %d", tgt.Name(), got, len(xs))
 		}
-	}
-	st := Stats()
-	if st.Misses != uint64(len(xs)) {
-		t.Errorf("misses after reads = %d, want %d (oracle must run once per input)", st.Misses, len(xs))
-	}
-	if st.Hits != uint64(3*len(xs)) {
-		t.Errorf("hits = %d, want %d", st.Hits, 3*len(xs))
+		for pass := 0; pass < 3; pass++ {
+			for _, x := range xs {
+				Target(tgt, bigfp.Exp, x)
+			}
+		}
+		st := Stats()
+		if st.Misses != uint64(len(xs)) {
+			t.Errorf("%s: misses after reads = %d, want %d (oracle must run once per input)", tgt.Name(), st.Misses, len(xs))
+		}
+		if st.Hits != uint64(3*len(xs)) {
+			t.Errorf("%s: hits = %d, want %d", tgt.Name(), st.Hits, 3*len(xs))
+		}
 	}
 }
 
@@ -186,20 +188,6 @@ func TestCacheConcurrentFills(t *testing.T) {
 		ResetCache()
 	}()
 	wg.Wait()
-}
-
-func TestPrecomputePosit32(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	ps := []posit32.Posit{posit32.One, posit32.FromFloat64(2), posit32.FromFloat64(0.5)}
-	PrecomputePosit32(bigfp.Log, ps)
-	misses := Stats().Misses
-	for _, p := range ps {
-		Posit32(bigfp.Log, p.Float64())
-	}
-	if got := Stats().Misses; got != misses {
-		t.Errorf("reads after PrecomputePosit32 missed: %d -> %d", misses, got)
-	}
 }
 
 // BenchmarkOracleFloat32 measures the uncached Ziv ladder (every

@@ -10,11 +10,10 @@
 // rounding-distance results (Lefèvre-Muller) for double precision,
 // which dominate the 32-bit targets used here.
 //
-// All entry points are memoized in a concurrent sharded cache keyed by
-// (function, input bits) — see cache.go — so a harness that checks N
-// libraries against the same input sample pays for the Ziv loop once
-// per (function, input) rather than once per (function, input,
-// library). PrecomputeFloat32 and friends bulk-fill the cache in
+// All entry points but Float32Ziv are memoized in a concurrent sharded
+// cache keyed by (function, input bits) — see cache.go — so the
+// generator's repeated validation of one sample pays for the Ziv loop
+// once per (function, input). PrecomputeTarget bulk-fills the cache in
 // parallel.
 package oracle
 
@@ -106,19 +105,34 @@ func (s *zivScratch) band(w *big.Float, prec uint) (lo, hi *big.Float) {
 	return lo, hi
 }
 
-// errBand widens w by bigfp's relative error bound at precision p,
-// returning lo <= f(x) <= hi (allocating variant, kept for the generic
-// Target fallback).
-func errBand(w *big.Float, prec uint) (lo, hi *big.Float) {
-	if w.Sign() == 0 {
-		return w, w
+// ziv runs the Ziv ladder for f(x) over pooled scratch: at each
+// precision it rounds both ends of bigfp's error band with round and
+// accepts their common rounding. If the 400-bit band still straddles a
+// rounding boundary (in practice only an exact tie does), it accepts
+// the rounding of the band's centre (the paper's oracle contract), or
+// of its lower end when lower is set. Every target differs only in
+// round.
+func ziv[T comparable](f bigfp.Func, x float64, round func(*big.Float) T, lower bool) T {
+	s := zivPool.Get().(*zivScratch)
+	defer zivPool.Put(s)
+	var lo, hi *big.Float
+	for i, p := range precisions {
+		w := bigfp.EvalTo(&s.w, f, x, p)
+		lo, hi = s.band(w, p)
+		if a := round(lo); a == round(hi) {
+			noteZiv(i)
+			return a
+		}
 	}
-	e := new(big.Float).SetPrec(w.Prec()).SetMantExp(
-		new(big.Float).SetPrec(w.Prec()).Abs(w), -int(prec)+bigfp.ErrLog2)
-	lo = new(big.Float).SetPrec(w.Prec()+8).Sub(w, e)
-	hi = new(big.Float).SetPrec(w.Prec()+8).Add(w, e)
-	return lo, hi
+	noteZivFallback()
+	if lower {
+		return round(lo)
+	}
+	return round(&s.w)
 }
+
+func roundFloat32(v *big.Float) float32 { r, _ := v.Float32(); return r }
+func roundFloat64(v *big.Float) float64 { r, _ := v.Float64(); return r }
 
 // Float32 returns the correctly rounded float32 value of f(x).
 // Out-of-domain and infinite inputs follow the IEEE conventions
@@ -154,24 +168,7 @@ func Float32Ziv(f bigfp.Func, x float64) float32 {
 	if y, ok := domainEdge(f, x); ok {
 		return float32(y)
 	}
-	s := zivPool.Get().(*zivScratch)
-	defer zivPool.Put(s)
-	var last float32
-	for i, p := range precisions {
-		w := bigfp.EvalTo(&s.w, f, x, p)
-		lo, hi := s.band(w, p)
-		a, _ := lo.Float32()
-		b, _ := hi.Float32()
-		last = a
-		if a == b || (a != a && b != b) {
-			noteZiv(i)
-			return a
-		}
-	}
-	// The 400-bit band still straddles a rounding boundary: accept the
-	// center (matching the paper's oracle contract).
-	noteZivFallback()
-	return last
+	return ziv(f, x, roundFloat32, false)
 }
 
 // Float64 returns the correctly rounded float64 value of f(x), used
@@ -185,22 +182,7 @@ func float64Uncached(f bigfp.Func, x float64) float64 {
 	if y, ok := domainEdge(f, x); ok {
 		return y
 	}
-	s := zivPool.Get().(*zivScratch)
-	defer zivPool.Put(s)
-	var last float64
-	for i, p := range precisions {
-		w := bigfp.EvalTo(&s.w, f, x, p)
-		lo, hi := s.band(w, p)
-		a, _ := lo.Float64()
-		b, _ := hi.Float64()
-		last = a
-		if a == b || (a != a && b != b) {
-			noteZiv(i)
-			return a
-		}
-	}
-	noteZivFallback()
-	return last
+	return ziv(f, x, roundFloat64, false)
 }
 
 // Posit32 returns the correctly rounded posit32 value of f(x).
@@ -213,22 +195,13 @@ func posit32Uncached(f bigfp.Func, x float64) posit32.Posit {
 	if y, ok := domainEdge(f, x); ok {
 		return posit32.FromFloat64(y) // NaN and ±Inf map to NaR
 	}
-	s := zivPool.Get().(*zivScratch)
-	defer zivPool.Put(s)
-	var last posit32.Posit
-	for i, p := range precisions {
-		w := bigfp.EvalTo(&s.w, f, x, p)
-		lo, hi := s.band(w, p)
-		a := posit32.RoundBig(lo)
-		b := posit32.RoundBig(hi)
-		last = a
-		if a == b {
-			noteZiv(i)
-			return a
-		}
-	}
-	noteZivFallback()
-	return last
+	// posit32 still accepts the lower end. exp2(-118) = 2^-118 is an
+	// exact tie between 0x00000001 and 0x00000002, whose correct
+	// rounding (ties to even) is 0x00000002; the committed exp2 table
+	// was generated against the lower end's 0x00000001, and the centre
+	// moves its underflow cutoff and coefficients. Switch with the
+	// posit32 regeneration (ROADMAP item 1).
+	return ziv(f, x, posit32.RoundBig, true)
 }
 
 // Target returns RN_T(f(x)) as the exact double embedding for the given
@@ -251,6 +224,13 @@ func Target(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
 	return cachedTarget(t, f, x)
 }
 
+// rounded is one generic target's rounding of a real: its exact
+// double embedding, and false when it has no real result.
+type rounded struct {
+	v  float64
+	ok bool
+}
+
 // targetUncached is the generic fallback through RoundBig (exercised by
 // the 16-bit targets and custom targets).
 func targetUncached(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
@@ -263,17 +243,9 @@ func targetUncached(t interval.Target, f bigfp.Func, x float64) (float64, bool) 
 		}
 		return t.Round(y), true
 	}
-	for i, p := range precisions {
-		w := bigfp.Eval(f, x, p)
-		lo, hi := errBand(w, p)
-		a, aok := t.RoundBig(lo)
-		b, bok := t.RoundBig(hi)
-		if aok && bok && t.SameResult(a, b) {
-			noteZiv(i)
-			return a, true
-		}
-	}
-	noteZivFallback()
-	w := bigfp.Eval(f, x, 400)
-	return t.RoundBig(w)
+	r := ziv(f, x, func(v *big.Float) rounded {
+		y, ok := t.RoundBig(v)
+		return rounded{y, ok}
+	}, false)
+	return r.v, r.ok
 }

@@ -19,7 +19,7 @@ import (
 var (
 	tier0Decided atomic.Uint64                     // guard-band decided, no ladder run
 	zivAccepts   [len(precisionsArr)]atomic.Uint64 // accepted at rung i
-	zivFallback  atomic.Uint64                     // 400-bit band still straddled; center accepted
+	zivFallback  atomic.Uint64                     // 400-bit band still straddled; centre accepted (posit32: lower end)
 )
 
 // precisionsArr mirrors the precisions ladder with a fixed size so the
@@ -35,7 +35,7 @@ func noteZivFallback() { zivFallback.Add(1) }
 type ZivStats struct {
 	Tier0    uint64    // decided by the float64 reference + guard band
 	ByPrec   [4]uint64 // accepted at 96/160/256/400 bits
-	Fallback uint64    // 400-bit interval straddled; center accepted
+	Fallback uint64    // 400-bit interval straddled; centre accepted (posit32: lower end)
 }
 
 // MaxPrec returns the highest precision any evaluation needed (0 when

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,6 +193,49 @@ func TestRingOwnershipStable(t *testing.T) {
 		if c < keys/len(addrs)/4 {
 			t.Errorf("backend %d owns %d of %d keys: ring badly skewed %v", i, c, keys, counts)
 		}
+	}
+}
+
+// TestRingPlacementGolden pins placement to the backend list alone:
+// the hash of a few routing keys, and the owner of every served key on
+// a fixed two-address ring. A seeded or per-process hash would send
+// one key to different backends from two proxies, or after a restart.
+func TestRingPlacementGolden(t *testing.T) {
+	for _, c := range []struct {
+		typ  uint8
+		name string
+		want uint64
+	}{
+		{server.TFloat32, "exp", 0x049dd7fd4392950b},
+		{server.TFloat32, "ln", 0x06cf545b17fac41a},
+		{server.TPosit32, "exp", 0xe393c3331a5ad429},
+		{server.TBfloat16, "cospi", 0x3e931e0bfe3bc2d8},
+	} {
+		if got := hashKey(c.typ, c.name); got != c.want {
+			t.Errorf("hashKey(%d, %q) = %#016x, want %#016x", c.typ, c.name, got, c.want)
+		}
+	}
+	r := buildRing([]string{"10.0.0.1:7143", "10.0.0.2:7143"}, defaultVNodes)
+	var got strings.Builder
+	for _, e := range libm.Registry() {
+		code, ok := server.TypeCode(e.Variant)
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(&got, "%s.%s:%d ", e.Variant, e.Name, r.owner(hashKey(code, e.Name)))
+	}
+	const want = "float32.ln:0 float32.log2:0 float32.log10:1 float32.exp:0 float32.exp2:1 " +
+		"float32.exp10:0 float32.sinh:1 float32.cosh:1 float32.sinpi:0 float32.cospi:0 " +
+		"posit32.ln:0 posit32.log2:1 posit32.log10:0 posit32.exp:0 posit32.exp2:0 " +
+		"posit32.exp10:0 posit32.sinh:1 posit32.cosh:1 " +
+		"bfloat16.ln:0 bfloat16.log2:1 bfloat16.log10:1 bfloat16.exp:0 bfloat16.exp2:1 " +
+		"bfloat16.exp10:0 bfloat16.sinh:1 bfloat16.cosh:1 bfloat16.sinpi:1 bfloat16.cospi:1 " +
+		"float16.ln:1 float16.log2:0 float16.log10:1 float16.exp:1 float16.exp2:1 " +
+		"float16.exp10:1 float16.sinh:0 float16.cosh:1 float16.sinpi:1 float16.cospi:0 " +
+		"posit16.ln:0 posit16.log2:1 posit16.log10:0 posit16.exp:1 posit16.exp2:1 " +
+		"posit16.exp10:1 posit16.sinh:1 posit16.cosh:0 "
+	if got.String() != want {
+		t.Errorf("owners on the two-address ring:\n got %s\nwant %s", got.String(), want)
 	}
 }
 

@@ -25,22 +25,31 @@
 package proxy
 
 import (
-	"hash/maphash"
+	"hash/fnv"
 	"sort"
 )
 
-// ringSeed fixes the hash so key placement is stable for the life of
-// the process (placement only needs to agree with itself — each proxy
-// owns its own ring).
-var ringSeed = maphash.MakeSeed()
+// hash64 places bytes on the ring circle: FNV-1a with murmur3's 64-bit
+// finalizer, so inputs that differ only in their last bytes (the
+// virtual-node suffixes of one address) still spread around the
+// circle. It is seedless, so placement is a function of the backend
+// list alone: every proxy in front of one fleet, and every restart,
+// sends a key to the same backend and keeps its caches warm.
+func hash64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
 
 // hashKey places a (type, function) routing key on the ring circle.
 func hashKey(typ uint8, name string) uint64 {
-	var h maphash.Hash
-	h.SetSeed(ringSeed)
-	h.WriteByte(typ)
-	h.WriteString(name)
-	return h.Sum64()
+	return hash64(append([]byte{typ}, name...))
 }
 
 // ringPoint is one virtual node: a position on the circle owned by a
@@ -70,15 +79,10 @@ func buildRing(addrs []string, vnodes int) *ring {
 		vnodes = defaultVNodes
 	}
 	r := &ring{n: len(addrs), points: make([]ringPoint, 0, len(addrs)*vnodes)}
-	var h maphash.Hash
 	for i, addr := range addrs {
 		for v := 0; v < vnodes; v++ {
-			h.SetSeed(ringSeed)
-			h.WriteString(addr)
-			h.WriteByte('#')
-			h.WriteByte(byte(v))
-			h.WriteByte(byte(v >> 8))
-			r.points = append(r.points, ringPoint{hash: h.Sum64(), idx: i})
+			h := hash64(append([]byte(addr+"#"), byte(v), byte(v>>8)))
+			r.points = append(r.points, ringPoint{hash: h, idx: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {

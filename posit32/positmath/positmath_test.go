@@ -1,24 +1,34 @@
 package positmath_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"rlibm32/internal/checks"
+	"rlibm32/internal/exhaust"
 	"rlibm32/internal/perf"
 	"rlibm32/posit32"
 	"rlibm32/posit32/positmath"
 )
 
+// TestTable2RlibmColumn is Table 2's rlibm column at test scale: zero
+// wrong results on the scalar and batch paths over a sample covering
+// every regime.
 func TestTable2RlibmColumn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy")
-	}
 	ps := checks.SamplePosit32(20000)
+	inputs := make([]uint32, len(ps))
+	for i, p := range ps {
+		inputs[i] = p.Bits()
+	}
 	for _, name := range positmath.Names() {
-		res := checks.CheckPosit32("rlibm", name, ps)
-		if !res.Correct() {
-			t.Errorf("%s: %d/%d wrong results (e.g. x=%v)", name, res.Wrong, res.Tested, res.Example)
+		rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: "posit32." + name, Inputs: inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mismatched != 0 {
+			t.Errorf("%s: %d/%d wrong results on paths %v %v, first %+v",
+				name, rep.Mismatched, rep.Inputs, rep.Paths, rep.PathMismatched, rep.Mismatches[0])
 		}
 	}
 }

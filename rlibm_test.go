@@ -1,28 +1,35 @@
 package rlibm32_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	rlibm "rlibm32"
 	"rlibm32/internal/checks"
+	"rlibm32/internal/exhaust"
 	"rlibm32/internal/oracle"
 	"rlibm32/internal/perf"
 )
 
 // TestAllFunctionsCorrectlyRounded is the library's headline claim
-// (the rlibm column of Table 1) at test scale: zero mismatches against
-// the oracle over a stratified sample.
+// (the rlibm column of Table 1) at test scale: zero wrong results on
+// the scalar and batch paths over a stratified sample.
 func TestAllFunctionsCorrectlyRounded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy")
-	}
 	xs := checks.SampleFloat32(30000)
+	inputs := make([]uint32, len(xs))
+	for i, x := range xs {
+		inputs[i] = math.Float32bits(x)
+	}
 	for _, name := range rlibm.Names() {
-		res := checks.CheckFloat32("rlibm", name, xs)
-		if !res.Correct() {
-			t.Errorf("%s: %d/%d wrong results (e.g. x=%v)", name, res.Wrong, res.Tested, res.Example)
+		rep, err := exhaust.Run(context.Background(), exhaust.Config{Func: name, Inputs: inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mismatched != 0 {
+			t.Errorf("%s: %d/%d wrong results on paths %v %v, first %+v",
+				name, rep.Mismatched, rep.Inputs, rep.Paths, rep.PathMismatched, rep.Mismatches[0])
 		}
 	}
 }
