@@ -386,40 +386,77 @@ func TestListedMatchesBounded(t *testing.T) {
 	}
 }
 
-// TestListedRefutesCorruptPath checks a listed run over an unsorted
-// list holding pattern 0 twice: every listed occurrence of a wrong
-// input is counted, and the log is in pattern order and names the
-// wrong path.
-func TestListedRefutesCorruptPath(t *testing.T) {
-	f := math.Float32bits
-	bad := map[uint32]bool{0: true, f(-3): true, f(5): true}
-	wrap := func(name string, eval evalFunc) evalFunc {
+// corruptScalarAt returns a path wrapper that bumps the scalar path's
+// result on each listed bit pattern and leaves the batch path alone.
+func corruptScalarAt(bad ...uint32) func(string, evalFunc) evalFunc {
+	set := make(map[uint32]bool, len(bad))
+	for _, b := range bad {
+		set[b] = true
+	}
+	return func(name string, eval evalFunc) evalFunc {
 		if name != "scalar" {
 			return eval
 		}
 		return func(dst, src []uint32) {
 			eval(dst, src)
 			for i, b := range src {
-				if bad[b] {
+				if set[b] {
 					dst[i]++
 				}
 			}
 		}
 	}
-	inputs := []uint32{f(5), f(3), 0, f(7), f(-1.5), f(-3), 0}
-	rep, err := Run(context.Background(), Config{Func: "exp", Inputs: inputs, wrap: wrap})
+}
+
+// checkScalarMismatches checks a report of a listed exp run whose
+// scalar path alone is wrong: the input count, the mismatch count on
+// each path, and a log of exactly want, in order, naming the scalar
+// path.
+func checkScalarMismatches(t *testing.T, rep *Report, inputs int, want []uint32) {
+	t.Helper()
+	n := uint64(len(want))
+	if rep.Inputs != uint64(inputs) || rep.Mismatched != n || rep.PathMismatched[0] != n || rep.PathMismatched[1] != 0 {
+		t.Fatalf("inputs %d, mismatched %d, per path %v %v; want %d, %d, scalar %d and batch 0",
+			rep.Inputs, rep.Mismatched, rep.Paths, rep.PathMismatched, inputs, n, n)
+	}
+	if len(rep.Mismatches) != len(want) {
+		t.Fatalf("%d mismatches logged, want %d: %+v", len(rep.Mismatches), len(want), rep.Mismatches)
+	}
+	for k, bits := range want {
+		m := rep.Mismatches[k]
+		if m.Bits != bits || len(m.Paths) != 1 || m.Paths[0] != "scalar" {
+			t.Errorf("mismatch %d = %+v, want bits %#08x on scalar", k, m, bits)
+		}
+	}
+}
+
+// TestListedWrongAtZeroCounted checks that a wrong result at pattern 0
+// is not mistaken for an empty slot: over an unsorted list holding
+// pattern 0 twice, both occurrences are counted and logged first, with
+// the wrong path named.
+func TestListedWrongAtZeroCounted(t *testing.T) {
+	f := math.Float32bits
+	inputs := []uint32{f(5), f(3), 0, f(7), 0}
+	rep, err := Run(context.Background(), Config{Func: "exp", Inputs: inputs, wrap: corruptScalarAt(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inputs != 7 || rep.Mismatched != 4 || rep.PathMismatched[0] != 4 || rep.PathMismatched[1] != 0 {
-		t.Fatalf("inputs %d, mismatched %d, per path %v %v; want 7, 4, scalar 4 and batch 0",
-			rep.Inputs, rep.Mismatched, rep.Paths, rep.PathMismatched)
-	}
-	for k, want := range []uint32{0, 0, f(5), f(-3)} {
-		m := rep.Mismatches[k]
-		if m.Bits != want || len(m.Paths) != 1 || m.Paths[0] != "scalar" {
-			t.Errorf("mismatch %d = %+v, want bits %#08x on scalar", k, m, want)
+	checkScalarMismatches(t, rep, len(inputs), []uint32{0, 0})
+}
+
+// TestListedMismatchLogPatternOrder checks that the mismatch log of a
+// listed run is in bit-pattern order whatever the order of the list,
+// the same on every run, and that the correct batch path is not
+// charged with the scalar path's errors.
+func TestListedMismatchLogPatternOrder(t *testing.T) {
+	f := math.Float32bits
+	inputs := []uint32{f(7), f(5), f(1), 0, f(-1.5), f(-3)}
+	for trial := 0; trial < 3; trial++ {
+		rep, err := Run(context.Background(), Config{Func: "exp", Inputs: inputs, wrap: corruptScalarAt(f(-3), 0, f(5))})
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkScalarMismatches(t, rep, len(inputs), []uint32{0, f(5), f(-3)})
 	}
 }
 
